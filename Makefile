@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve perf-gate ci-local
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve perf-gate perfbench-selftest ci-local
 
 lint:
 	ruff check .
@@ -82,10 +82,19 @@ perf-gate:
 		$(foreach dir,$(FRESH_RESULTS),--fresh-dir $(dir)) \
 		$(if $(BASELINE_GIT),--baseline-git $(BASELINE_GIT),)
 
+# Repository-benchmark self-test (perfbench/, about two minutes on two
+# cores): every workload at toy size, untraced and traced, must exit 0
+# with exactly the metrics BENCHMARK.json names, and the output oracle
+# must catch a planted wrong answer.  Catches a refactor that renames or
+# stops calling a function the benchmark's tracer wraps.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
+
 # The whole CI job sequence, in order, on the local machine: lint,
 # byte-compile, tier-1 tests (with the same JUnit/durations artifacts),
 # benchmark smoke, ingestion-service smoke + bench + chaos, both fault
-# matrices, then the perf gate against the committed (HEAD) baselines.
+# matrices, the repository-benchmark self-test, then the perf gate
+# against the committed (HEAD) baselines.
 ci-local:
 	$(MAKE) lint
 	$(PYTHON) -m compileall -q src
@@ -97,4 +106,5 @@ ci-local:
 	$(MAKE) chaos-serve
 	$(MAKE) fault-matrix WORKERS=2
 	$(MAKE) fault-matrix WORKERS=4
+	$(MAKE) perfbench-selftest
 	$(MAKE) perf-gate BASELINE_GIT=HEAD

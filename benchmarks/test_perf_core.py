@@ -52,7 +52,7 @@ def test_perf_event_builder(benchmark, capture):
     events = benchmark(build_events, capture, 600.0)
     assert int(events.packets.sum()) == len(capture)
     if benchmark.stats is not None:  # absent under --benchmark-disable
-        # Headline: > 1M packets/second on commodity hardware.
+        # Checked floor: more than 200k packets/second.
         per_second = len(capture) / benchmark.stats.stats.mean
         assert per_second > 200_000
 

@@ -310,20 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--schedule",
-        choices=("static", "packed", "stealing"),
-        default="stealing",
-        help=(
-            "how parallel work is laid out across --workers: static "
-            "keeps the legacy layout (even contiguous/hash shards, one "
-            "per worker); packed bin-packs shards by each scanner's "
-            "predicted cost so every worker gets equal work; stealing "
-            "(default) additionally over-decomposes into sub-tasks "
-            "that idle workers steal from stragglers — results are "
-            "bit-identical in every mode, only load balance changes"
-        ),
-    )
-    parser.add_argument(
         "--capture-dir",
         default=None,
         metavar="DIR",
@@ -512,7 +498,6 @@ def main(argv: Optional[list] = None) -> int:
             mode=args.mode,
             chunk_seconds=chunk_seconds,
             workers=args.workers,
-            schedule=args.schedule,
             capture_dir=args.capture_dir,
             checkpoint_dir=args.checkpoint_dir,
             shard_retries=args.shard_retries,

@@ -1,8 +1,8 @@
 """The long-lived detection engine behind every run path.
 
 ``DetectionEngine`` owns what used to live inline in
-:func:`repro.sim.runner.run_scenario`'s streaming loop and
-:func:`repro.parallel._finish_merged`: a pool of source-sharded
+:func:`repro.sim.runner.run_scenario`'s streaming loop and the
+shard merge of :mod:`repro.parallel`: a pool of source-sharded
 :class:`~repro.core.streaming.StreamingDetector`\\ s, chunk routing into
 that pool, checkpoint/snapshot scheduling, and the telemetry/RunHealth
 accounting around them.  The batch drivers construct one, feed it, and
@@ -130,7 +130,9 @@ def gate_time_order(
     the per-chunk ordering check the streaming builder performs
     (each chunk's first timestamp at or past the watermark) has to be
     re-applied *before* concatenation — otherwise one stale chunk would
-    either poison the whole fold or, worse, silently slip into it.
+    either poison the whole fold or, worse, silently slip into it.  A
+    chunk holding a NaN or infinite timestamp is dropped the same way:
+    ``nan < mark`` is False, so the order check alone would let it in.
     Empty batches are dropped silently; violators append a message to
     ``errors``.  Returns the batches that fold.
     """
@@ -140,13 +142,19 @@ def gate_time_order(
         if len(batch) == 0:
             continue
         first = float(batch.ts.min())
+        last = float(batch.ts.max())
+        if not (math.isfinite(first) and math.isfinite(last)):
+            errors.append(
+                f"chunk has non-finite timestamps: min {first}, max {last}"
+            )
+            continue
         if first < mark:
             errors.append(
                 f"chunk out of order: first ts {first:.6f} precedes "
                 f"watermark {mark:.6f}"
             )
             continue
-        mark = max(mark, float(batch.ts.max()))
+        mark = max(mark, last)
         kept.append(batch)
     return kept
 
@@ -249,9 +257,9 @@ class DetectionEngine:
         """Adopt ``(detector, report)`` pairs produced by a worker pool.
 
         The pairs must be in shard-index order (``run_sharded``
-        guarantees it); :meth:`finish` then merges and accounts exactly
-        as the pre-engine ``_finish_merged`` did, keeping pool runs
-        bit-identical to serial ones.
+        guarantees it); :meth:`finish` then merges them in that order
+        and finishes once, keeping pool runs bit-identical to serial
+        ones.
         """
         if not shard_results:
             raise ValueError("need at least one shard result to adopt")
@@ -838,9 +846,6 @@ class DetectionEngine:
                         generate_seconds=report.generate_seconds,
                         spans_derived=getattr(report, "spans_derived", 0),
                         spans_emitted=getattr(report, "spans_emitted", 0),
-                        planned_cost=getattr(report, "planned_cost", 0.0),
-                        tasks=getattr(report, "tasks", 1),
-                        stolen_tasks=getattr(report, "stolen_tasks", 0),
                     )
                 generate_seconds = sum(r.generate_seconds for r in reports)
                 if generate_seconds > 0.0:

@@ -29,6 +29,7 @@ the watermark).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -192,6 +193,13 @@ class StreamingEventBuilder:
             return
         first_ts = float(batch.ts.min())
         last_ts = float(batch.ts.max())
+        # A NaN propagates into min/max, so checking the two bounds
+        # covers every timestamp without another pass over the chunk.
+        if not (math.isfinite(first_ts) and math.isfinite(last_ts)):
+            raise ValueError(
+                f"chunk has non-finite timestamps (min {first_ts}, "
+                f"max {last_ts})"
+            )
         if self._watermark is not None and first_ts < self._watermark:
             raise ValueError(
                 f"out-of-order chunk: starts at {first_ts:.3f}, watermark "

@@ -131,7 +131,6 @@ class ISPNetwork:
         exporter: Optional[NetflowExporter] = None,
         *,
         workers: Optional[int] = None,
-        schedule: str = "static",
         telemetry: Optional[PipelineTelemetry] = None,
         retry=None,
         checkpoint_dir=None,
@@ -159,12 +158,6 @@ class ISPNetwork:
             workers: shard synthesis across this many worker processes
                 (contiguous population slices, merged in order); ``None``
                 or 1 synthesizes serially.  Results are identical.
-            schedule: how the parallel path cuts the population —
-                ``static`` (even counts), ``packed`` (size-aware
-                balanced slices) or ``stealing`` (over-decomposed
-                stealable sub-tasks); see
-                :func:`repro.parallel.parallel_flow_columns`.  Results
-                are identical in every mode.
             telemetry: optional gauge sink; a "flows" stage plus
                 per-worker synthesis throughput is recorded.
             retry: per-shard :class:`~repro.core.faults.RetryPolicy`
@@ -198,7 +191,6 @@ class ISPNetwork:
                 day_seconds,
                 base,
                 workers=workers if workers is not None else 1,
-                schedule=schedule,
                 telemetry=telemetry,
                 retry=retry,
                 checkpoint_dir=checkpoint_dir,

@@ -20,7 +20,7 @@ serial run would have accumulated — the events, thresholds and AH sets
 are **identical to the serial path for any shard count**.  A hypothesis
 property test pins this invariant.
 
-Two consumption modes:
+Three consumption modes:
 
 * :func:`parallel_detect` — shard an in-memory chunk stream in the
   parent and ship per-shard sub-batches to the pool.
@@ -29,6 +29,8 @@ Two consumption modes:
   :func:`repro.io.packetlog.save_packets_chunked`; each worker reads
   every archive itself and keeps only its shard's packets, so no packet
   ever crosses a process pipe and parent memory stays at one chunk.
+* :func:`parallel_generate_detect` — ship each worker its shard of the
+  scanner *population* and let it generate its own capture lazily.
 
 Every entry point executes through the fault-tolerant layer
 (:mod:`repro.core.faults`): failed shards are retried with backoff, a
@@ -39,6 +41,12 @@ resumes by re-executing exactly the missing shards
 (:func:`resume_run`).  Because retry and resume re-run whole shards
 from their inputs and the merge is always performed in shard-index
 order, a faulted or resumed run is bit-identical to a fault-free one.
+
+Every detection entry point runs exactly one task per worker over
+source-hash shards, through one shared tail: plan
+(:func:`~repro.core.schedule.plan_grouped`) → :func:`run_sharded` →
+merge → finish.  Flow synthesis (:func:`parallel_flow_columns`) is the
+one stage that over-decomposes into stealable, cost-capped slices.
 """
 
 from __future__ import annotations
@@ -64,13 +72,7 @@ from repro.core.faults import (
     sha256_hex,
 )
 from repro.core.engine import DetectionEngine
-from repro.core.schedule import (
-    DEFAULT_STEAL_FACTOR,
-    SchedulePlan,
-    plan_contiguous,
-    plan_grouped,
-    validate_mode,
-)
+from repro.core.schedule import SchedulePlan, plan_contiguous, plan_grouped
 from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry, RunHealth
 from repro.io.shm import (
@@ -79,12 +81,6 @@ from repro.io.shm import (
     want_shared_memory,
 )
 from repro.packet import PacketBatch
-
-#: Hash fine-shards per worker when the scheduler runs over a chunk
-#: directory: every task streams the whole archive sequence, so the
-#: fan-out is kept low — 2x over-decomposition halves the straggler
-#: tail for one extra pass of (cheap, page-cached) reads.
-DIRECTORY_FINE_FACTOR = 2
 
 #: Fibonacci-hash multiplier: decorrelates the shard index from address
 #: structure (plain ``src % n`` would map whole prefixes to one shard).
@@ -156,16 +152,8 @@ class WorkerReport:
     #: directory reads only; every worker sees the same archives, so
     #: the parent deduplicates when folding into ``RunHealth``).
     quarantined: Tuple[str, ...] = ()
-    #: OS process id that executed the work — lets the parent tell
-    #: which tasks of a logical shard were stolen by another worker.
+    #: OS process id that executed the work.
     pid: int = 0
-    #: planner-predicted work for this logical shard (0 = unplanned).
-    planned_cost: float = 0.0
-    #: tasks folded into this logical shard (1 = no over-decomposition).
-    tasks: int = 1
-    #: tasks executed by a different process than the shard's heaviest
-    #: task — drained from the pool queue by an idle worker.
-    stolen_tasks: int = 0
 
 
 @dataclass
@@ -218,47 +206,42 @@ def _run_shard(
 
 def _run_shard_directory(
     shard: int,
+    hashes: Tuple[int, ...],
     n_shards: int,
     directory: str,
     timeout: float,
     dark_size: int,
     config: Optional[DetectionConfig],
     day_seconds: float,
-    on_corrupt: str = "raise",
-    fines: Optional[Tuple[int, ...]] = None,
+    on_corrupt: str,
 ) -> Tuple[StreamingDetector, WorkerReport]:
     """Worker body for chunk directories: read, filter to shard, fold.
 
     Every worker streams the full archive sequence but holds only one
     chunk at a time, and feeds its detector only the packets whose
-    source hashes to its shard.  Under a schedule plan ``fines`` names
-    the set of fine hash-shards (mod ``n_shards``) this task owns
-    instead of the single ``shard`` value — the union filter keeps the
-    source partition disjoint across tasks, so one detector per task
-    stays correct.  Archives are verified against the directory's
-    digest manifest; a damaged one raises (strict) or is skipped and
-    reported back (``on_corrupt="quarantine"``) — every worker skips
-    the *same* archives, so degraded-mode results stay deterministic
-    across shard counts.
+    source hashes (mod ``n_shards``) into the task's ``hashes`` — the
+    tasks own disjoint hash sets, so the source partition stays
+    disjoint and one detector per task is correct.  Archives are
+    verified against the directory's digest manifest; a damaged one
+    raises (strict) or is skipped and reported back
+    (``on_corrupt="quarantine"``) — every worker skips the *same*
+    archives, so degraded-mode results stay deterministic across shard
+    counts.
     """
     from repro.io.packetlog import iter_packets_verified
 
     t0 = time.perf_counter()
     detector = StreamingDetector(timeout, dark_size, config, day_seconds)
     quarantined: List[str] = []
-    fine_ids = (
-        None if fines is None else np.asarray(fines, dtype=np.int64)
-    )
+    owned = np.asarray(hashes, dtype=np.int64)
     for path, batch in iter_packets_verified(directory, on_corrupt):
         if batch is None:
             quarantined.append(str(path))
             continue
-        if fine_ids is not None:
+        if n_shards > 1:
             batch = batch.select(
-                np.isin(shard_of(batch.src, n_shards), fine_ids)
+                np.isin(shard_of(batch.src, n_shards), owned)
             )
-        elif n_shards > 1:
-            batch = batch.select(shard_of(batch.src, n_shards) == shard)
         if len(batch):
             detector.add_batch(batch)
     report = WorkerReport(
@@ -323,25 +306,6 @@ def _run_shard_lazy(
         pid=os.getpid(),
     )
     return detector, report
-
-
-def _finish_merged(
-    shard_results: List[Tuple[StreamingDetector, WorkerReport]],
-    telemetry: Optional[PipelineTelemetry],
-) -> ParallelResult:
-    """Merge shard states (in shard order), finish once, fold telemetry.
-
-    A thin wrapper over :meth:`DetectionEngine.from_shards` — the merge
-    order, single finish, and worker/merge-stage telemetry accounting
-    all live in the engine now, shared with every other run path.
-    """
-    engine = DetectionEngine.from_shards(shard_results, telemetry=telemetry)
-    events, detections = engine.finish()
-    return ParallelResult(
-        events=events,
-        detections=detections,
-        worker_reports=[report for _, report in shard_results],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -422,156 +386,70 @@ def _load_flow_state(payload: bytes) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Size-aware scheduling plumbing shared by the entry points
+# The sharded-detection tail: plan → run_sharded → merge → finish
 # ----------------------------------------------------------------------
 
 
-def _scanner_cost(scanner, view, kind: str) -> float:
-    """Predicted work for one scanner, 1.0 when it cannot say.
+def _hash_groups(src: np.ndarray, n_shards: int) -> List[List[int]]:
+    """Item indices per source-hash shard, ascending within a shard."""
+    shard = shard_of(src, n_shards)
+    return [np.flatnonzero(shard == i).tolist() for i in range(n_shards)]
 
-    Duck-typed so foreign scanner-like objects without
-    :meth:`~repro.scanners.base.Scanner.cost_estimate` still schedule
-    (uniform weight keeps the planner no worse than static for them).
+
+def _run_detect_plan(
+    body,
+    plan: SchedulePlan,
+    args: List[tuple],
+    *,
+    use_processes: bool,
+    retry: Optional[RetryPolicy],
+    fault_plan: Optional[FaultPlan],
+    health: RunHealth,
+    store: Optional[CheckpointStore],
+    telemetry: Optional[PipelineTelemetry],
+    lease=None,
+) -> ParallelResult:
+    """Run one detection task per worker, then merge and finish once.
+
+    The tail every detection entry point shares: ``args[i]`` are task
+    ``i``'s arguments for the worker ``body``.  Task states merge in
+    task order through :meth:`DetectionEngine.from_shards`, which also
+    owns the single finish and the worker/merge-stage telemetry.
+    ``lease`` (the shared-memory segment holding the payloads, if any)
+    is released as soon as the pool joins.
     """
-    estimate = getattr(scanner, "cost_estimate", None)
-    if estimate is None:
-        return 1.0
-    return float(estimate(view, kind=kind))
-
-
-def _source_groups(scanners: Sequence) -> List[List[int]]:
-    """Group scanner indices by source address, first-occurrence order.
-
-    Per-source detection state (events, flows, day/port statistics)
-    must stay within one task, so all scanners sharing a source — the
-    spoofed sentinel 0 included — form one indivisible planning unit.
-    """
-    by_src: Dict[int, List[int]] = {}
-    for index, scanner in enumerate(scanners):
-        by_src.setdefault(int(scanner.src), []).append(index)
-    return list(by_src.values())
-
-
-def _stolen_tasks(plan_tasks, reports) -> int:
-    """Tasks of one logical shard executed away from its home worker.
-
-    The home worker is wherever the shard's heaviest task ran; any
-    sibling task that a different process drained from the pool queue
-    counts as stolen.  In-process runs share one pid, so this is 0
-    there — it measures actual pool dynamics, not the plan.
-    """
-    if len(reports) <= 1:
-        return 0
-    heavy = max(
-        range(len(plan_tasks)),
-        key=lambda i: (plan_tasks[i].cost, -i),
+    try:
+        shard_results = run_sharded(
+            body,
+            args,
+            policy=retry,
+            plan=fault_plan,
+            use_processes=use_processes and plan.workers > 1,
+            max_workers=plan.workers,
+            submit_order=plan.submit_order(),
+            health=health,
+            store=store,
+            kind="detect",
+            dumps=_dump_detect_state,
+            loads=_load_detect_state,
+        )
+    finally:
+        if lease is not None:
+            lease.close()
+    for _, report in shard_results:
+        for path in report.quarantined:
+            health.record_quarantine(path)
+    if telemetry is not None:
+        telemetry.total_packets = sum(
+            report.packets for _, report in shard_results
+        )
+    engine = DetectionEngine.from_shards(shard_results, telemetry=telemetry)
+    events, detections = engine.finish()
+    return ParallelResult(
+        events=events,
+        detections=detections,
+        worker_reports=[report for _, report in shard_results],
     )
-    home_pid = reports[heavy].pid
-    return sum(1 for report in reports if report.pid != home_pid)
-
-
-def _fold_detect_tasks(
-    plan: SchedulePlan,
-    task_results: List[Tuple[StreamingDetector, WorkerReport]],
-    make_detector,
-) -> List[Tuple[StreamingDetector, WorkerReport]]:
-    """Fold per-task detector states into one pair per logical shard.
-
-    Detection merges are partition-independent, so task detectors fold
-    in logical task order without changing results; the per-shard
-    report aggregates the task reports and carries the plan/steal
-    telemetry.  Output arity is exactly ``plan.workers`` — downstream
-    merge and telemetry code sees the same shape as a static run.
-    """
-    folded: List[Tuple[StreamingDetector, WorkerReport]] = []
-    for shard in range(plan.workers):
-        tasks = plan.shard_tasks(shard)
-        if not tasks:
-            folded.append(
-                (
-                    make_detector(),
-                    WorkerReport(
-                        shard=shard,
-                        packets=0,
-                        events_finalized=0,
-                        open_flows=0,
-                        peak_open_flows=0,
-                        seconds=0.0,
-                        watermark=None,
-                        planned_cost=0.0,
-                        tasks=0,
-                    ),
-                )
-            )
-            continue
-        reports = [task_results[task.index][1] for task in tasks]
-        detector = merge_detectors(
-            [task_results[task.index][0] for task in tasks]
-        )
-        watermarks = [
-            report.watermark
-            for report in reports
-            if report.watermark is not None
-        ]
-        quarantined: List[str] = []
-        for report in reports:
-            for path in report.quarantined:
-                if path not in quarantined:
-                    quarantined.append(path)
-        folded.append(
-            (
-                detector,
-                WorkerReport(
-                    shard=shard,
-                    packets=sum(r.packets for r in reports),
-                    events_finalized=sum(
-                        r.events_finalized for r in reports
-                    ),
-                    open_flows=detector.open_flows,
-                    peak_open_flows=max(
-                        r.peak_open_flows for r in reports
-                    ),
-                    seconds=sum(r.seconds for r in reports),
-                    watermark=max(watermarks) if watermarks else None,
-                    generate_seconds=sum(
-                        r.generate_seconds for r in reports
-                    ),
-                    spans_derived=sum(r.spans_derived for r in reports),
-                    spans_emitted=sum(r.spans_emitted for r in reports),
-                    quarantined=tuple(quarantined),
-                    pid=reports[0].pid,
-                    planned_cost=plan.planned_cost(shard),
-                    tasks=len(tasks),
-                    stolen_tasks=_stolen_tasks(tasks, reports),
-                ),
-            )
-        )
-    return folded
-
-
-def _record_flow_workers(
-    telemetry: PipelineTelemetry,
-    plan: SchedulePlan,
-    task_results: List[tuple],
-) -> None:
-    """Fold per-task flow reports into one telemetry entry per shard.
-
-    Keeps the long-standing arity invariant — exactly ``plan.workers``
-    ``flow_worker_stats`` entries whose scanner counts sum to the
-    population — whatever the task decomposition was.
-    """
-    for shard in range(plan.workers):
-        tasks = plan.shard_tasks(shard)
-        reports = [task_results[task.index][1] for task in tasks]
-        telemetry.record_flow_worker(
-            shard=shard,
-            scanners=sum(r.scanners for r in reports),
-            rows=sum(r.rows for r in reports),
-            seconds=sum(r.seconds for r in reports),
-            planned_cost=plan.planned_cost(shard),
-            tasks=len(tasks),
-            stolen_tasks=_stolen_tasks(tasks, reports),
-        )
 
 
 def parallel_detect(
@@ -582,7 +460,6 @@ def parallel_detect(
     day_seconds: float = 86_400.0,
     *,
     workers: int,
-    schedule: str = "static",
     shm: Optional[bool] = None,
     use_processes: bool = True,
     telemetry: Optional[PipelineTelemetry] = None,
@@ -596,16 +473,10 @@ def parallel_detect(
         chunks: time-ordered capture chunks — ``PacketBatch`` objects or
             anything with a ``.packets`` batch attribute (e.g.
             :class:`~repro.telescope.chunks.CaptureChunk`).
-        workers: number of source shards, one detector (and, with
-            ``use_processes``, one worker process) per shard.
-        schedule: ``static`` hash-shards sources into exactly
-            ``workers`` tasks (the legacy layout); ``packed`` and
-            ``stealing`` hash into ``workers * steal-factor`` *fine*
-            shards, count each fine shard's packets while chunking, and
-            bin-pack the fine shards by measured packet count —
-            ``packed`` into one task per worker, ``stealing`` into
-            cost-capped sub-tasks drained by idle workers.  All modes
-            produce identical events and detections.
+        workers: number of source-hash shards, one detector (and, with
+            ``use_processes``, one worker process) per shard.  Each
+            shard's packets are counted while chunking, and the
+            heaviest shard is submitted first.
         shm: hand shard payloads to the pool through a named
             shared-memory segment (:mod:`repro.io.shm`) instead of
             pickling them — workers map the segment read-only, so no
@@ -638,7 +509,6 @@ def parallel_detect(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
     health = _resolve_health(telemetry)
     store = _checkpoint_store(
         checkpoint_dir,
@@ -646,36 +516,22 @@ def parallel_detect(
         {
             "kind": "detect",
             "workers": workers,
-            "schedule": schedule,
             "timeout": float(timeout),
             "dark_size": int(dark_size),
             "day_seconds": float(day_seconds),
             "config": _config_meta(config),
         },
     )
-    static = schedule == "static"
-    n_fine = workers if static else workers * DEFAULT_STEAL_FACTOR
     shards: List[List[PacketBatch]] = [[] for _ in range(workers)]
-    pending: List[Optional[PacketBatch]] = []
-    fine_packets = np.zeros(n_fine, dtype=np.int64)
     t_prev = time.perf_counter()
     shard_stage = telemetry.stage("shard") if telemetry is not None else None
     for chunk in chunks:
         batch = getattr(chunk, "packets", chunk)
         if len(batch) == 0:
             continue
-        if static:
-            for index, sub in enumerate(shard_batch(batch, workers)):
-                if len(sub):
-                    shards[index].append(sub)
-        else:
-            # Routing needs the task plan, and the plan needs every
-            # chunk's fine-shard packet counts — so only count here and
-            # route after the stream is exhausted.
-            pending.append(batch)
-            fine_packets += np.bincount(
-                shard_of(batch.src, n_fine), minlength=n_fine
-            )
+        for index, sub in enumerate(shard_batch(batch, workers)):
+            if len(sub):
+                shards[index].append(sub)
         if telemetry is not None:
             now = time.perf_counter()
             shard_stage.add(len(batch), len(batch), now - t_prev)
@@ -689,88 +545,39 @@ def parallel_detect(
             )
             t_prev = time.perf_counter()
 
-    if static:
-        payloads, lease = _ship_payloads(
-            shards, shm, use_processes and workers > 1
-        )
-        try:
-            shard_results = run_sharded(
-                _run_shard,
-                [
-                    (index, payloads[index], timeout, dark_size, config,
-                     day_seconds)
-                    for index in range(workers)
-                ],
-                policy=retry,
-                plan=fault_plan,
-                use_processes=use_processes and workers > 1,
-                max_workers=workers,
-                health=health,
-                store=store,
-                kind="detect",
-                dumps=_dump_detect_state,
-                loads=_load_detect_state,
-            )
-        finally:
-            if lease is not None:
-                lease.close()
-        return _finish_merged(shard_results, telemetry)
-
-    # Scheduled: bin-pack the fine hash-shards by measured packet count,
-    # then route every chunk to each task with a union-of-fine-shards
-    # mask.  One sub-batch per (chunk, task) keeps the chunks arriving
-    # in time order within each task, and the union masks partition the
-    # sources — one detector per task is exactly as correct as one per
-    # hash shard.
+    # LPT puts each non-empty hash shard on a task of its own (it never
+    # stacks work onto a loaded task while an empty one is left), so a
+    # task's payload is one shard's time-ordered batch list.
     plan = plan_grouped(
-        fine_packets.tolist(),
-        [[fine] for fine in range(n_fine)],
+        [sum(len(sub) for sub in subs) for subs in shards],
+        [[index] for index in range(workers)],
         workers,
-        schedule,
     )
-    task_fines = [
-        np.asarray(task.items, dtype=np.int64) for task in plan.tasks
-    ]
-    task_batches: List[List[PacketBatch]] = [[] for _ in plan.tasks]
-    for position, batch in enumerate(pending):
-        fine = shard_of(batch.src, n_fine)
-        for index, fines in enumerate(task_fines):
-            sub = batch.select(np.isin(fine, fines))
-            if len(sub):
-                task_batches[index].append(sub)
-        pending[position] = None  # free as we go; peak stays ~one capture
     payloads, lease = _ship_payloads(
-        task_batches, shm, use_processes and workers > 1
+        [
+            [sub for index in task.items for sub in shards[index]]
+            for task in plan.tasks
+        ],
+        shm,
+        use_processes and workers > 1,
     )
     args = [
-        (task.index, payloads[index], timeout, dark_size, config,
+        (task.index, payloads[task.index], timeout, dark_size, config,
          day_seconds)
-        for index, task in enumerate(plan.tasks)
+        for task in plan.tasks
     ]
-    try:
-        task_results = run_sharded(
-            _run_shard,
-            args,
-            policy=retry,
-            plan=fault_plan,
-            use_processes=use_processes and workers > 1,
-            max_workers=workers,
-            submit_order=plan.submit_order(),
-            health=health,
-            store=store,
-            kind="detect",
-            dumps=_dump_detect_state,
-            loads=_load_detect_state,
-        )
-    finally:
-        if lease is not None:
-            lease.close()
-    shard_results = _fold_detect_tasks(
+    return _run_detect_plan(
+        _run_shard,
         plan,
-        task_results,
-        lambda: StreamingDetector(timeout, dark_size, config, day_seconds),
+        args,
+        use_processes=use_processes,
+        retry=retry,
+        fault_plan=fault_plan,
+        health=health,
+        store=store,
+        telemetry=telemetry,
+        lease=lease,
     )
-    return _finish_merged(shard_results, telemetry)
 
 
 def parallel_detect_directory(
@@ -781,7 +588,6 @@ def parallel_detect_directory(
     day_seconds: float = 86_400.0,
     *,
     workers: int,
-    schedule: str = "static",
     use_processes: bool = True,
     telemetry: Optional[PipelineTelemetry] = None,
     retry: Optional[RetryPolicy] = None,
@@ -792,19 +598,12 @@ def parallel_detect_directory(
     """Shard-parallel detection over a ``save_packets_chunked`` directory.
 
     Each worker streams the archive sequence itself and filters to its
-    shard, so raw packets never cross a process boundary; only the
-    (much smaller) merged detector states travel back.  The directory
-    is validated up front — a missing directory, no ``chunk-*.npz``
-    archives, or a gap in the chunk sequence raise immediately with a
-    clear message rather than failing mid-run.
-
-    ``schedule="packed"``/``"stealing"`` decompose into
-    ``workers * 2`` fine hash-shards and bin-pack them into tasks
-    (``packed``: one per worker; ``stealing``: over-decomposed and
-    drained by idle workers).  Packet counts are unknown before
-    reading, so fine shards are weighted uniformly — the win here is
-    finer granularity and stealing, not size prediction; results are
-    identical in every mode.
+    source-hash shard, so raw packets never cross a process boundary;
+    only the (much smaller) merged detector states travel back.  Packet
+    counts are unknown before reading, so the shards weigh uniformly.
+    The directory is validated up front — a missing directory, no
+    ``chunk-*.npz`` archives, or a gap in the chunk sequence raise
+    immediately with a clear message rather than failing mid-run.
 
     Chunk archives are digest-verified against the directory manifest.
     ``on_corrupt="raise"`` (default) surfaces the first damaged archive
@@ -822,7 +621,6 @@ def parallel_detect_directory(
 
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
     if on_corrupt not in CORRUPT_MODES:
         raise ValueError(
             f"on_corrupt must be one of {CORRUPT_MODES}, got {on_corrupt!r}"
@@ -836,82 +634,40 @@ def parallel_detect_directory(
             "kind": "directory",
             "directory": str(directory),
             "workers": workers,
-            "schedule": schedule,
             "timeout": float(timeout),
             "dark_size": int(dark_size),
             "day_seconds": float(day_seconds),
             "config": _config_meta(config),
         },
     )
-    if schedule == "static":
-        plan = None
-        args = [
-            (
-                index,
-                workers,
-                str(directory),
-                timeout,
-                dark_size,
-                config,
-                day_seconds,
-                on_corrupt,
-            )
-            for index in range(workers)
-        ]
-    else:
-        # Every task re-reads the archive sequence, so keep the fan-out
-        # modest; counts are unknown before reading — uniform weights.
-        n_fine = workers * DIRECTORY_FINE_FACTOR
-        plan = plan_grouped(
-            [1.0] * n_fine,
-            [[fine] for fine in range(n_fine)],
+    plan = plan_grouped(
+        [1.0] * workers, [[index] for index in range(workers)], workers
+    )
+    args = [
+        (
+            task.index,
+            task.items,
             workers,
-            schedule,
+            str(directory),
+            timeout,
+            dark_size,
+            config,
+            day_seconds,
+            on_corrupt,
         )
-        args = [
-            (
-                task.index,
-                n_fine,
-                str(directory),
-                timeout,
-                dark_size,
-                config,
-                day_seconds,
-                on_corrupt,
-                task.items,
-            )
-            for task in plan.tasks
-        ]
-    shard_results = run_sharded(
+        for task in plan.tasks
+    ]
+    return _run_detect_plan(
         _run_shard_directory,
+        plan,
         args,
-        policy=retry,
-        plan=fault_plan,
-        use_processes=use_processes and workers > 1,
-        max_workers=workers,
-        submit_order=plan.submit_order() if plan is not None else None,
+        use_processes=use_processes,
+        retry=retry,
+        fault_plan=fault_plan,
         health=health,
         store=store,
-        kind="detect",
-        dumps=_dump_detect_state,
-        loads=_load_detect_state,
+        telemetry=telemetry,
     )
-    if plan is not None:
-        shard_results = _fold_detect_tasks(
-            plan,
-            shard_results,
-            lambda: StreamingDetector(
-                timeout, dark_size, config, day_seconds
-            ),
-        )
-    for _, report in shard_results:
-        for path in report.quarantined:
-            health.record_quarantine(path)
-    if telemetry is not None:
-        telemetry.total_packets = sum(
-            report.packets for _, report in shard_results
-        )
-    return _finish_merged(shard_results, telemetry)
 
 
 def resume_run(
@@ -956,7 +712,6 @@ def resume_run(
         config,
         meta["day_seconds"],
         workers=meta["workers"],
-        schedule=meta.get("schedule", "static"),
         use_processes=use_processes,
         telemetry=telemetry,
         retry=retry,
@@ -978,15 +733,10 @@ def shard_scanners(scanners: Sequence, n_shards: int) -> List[list]:
     packet, so results are unaffected.  Population order is preserved
     within each shard (part of the tie-breaking contract).
     """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    if n_shards == 1:
-        return [list(scanners)]
     sources = np.array([int(s.src) for s in scanners], dtype=np.uint32)
-    shard = shard_of(sources, n_shards)
     return [
-        [s for s, idx in zip(scanners, shard) if idx == i]
-        for i in range(n_shards)
+        [scanners[i] for i in group]
+        for group in _hash_groups(sources, n_shards)
     ]
 
 
@@ -1040,6 +790,49 @@ def _run_flow_shard(
     return columns, report
 
 
+def _stolen_tasks(plan_tasks, reports) -> int:
+    """Tasks of one logical shard executed away from its home worker.
+
+    The home worker is wherever the shard's heaviest task ran; any
+    sibling task that a different process drained from the pool queue
+    counts as stolen.  In-process runs share one pid, so this is 0
+    there — it measures actual pool dynamics, not the plan.
+    """
+    if len(reports) <= 1:
+        return 0
+    heavy = max(
+        range(len(plan_tasks)),
+        key=lambda i: (plan_tasks[i].cost, -i),
+    )
+    home_pid = reports[heavy].pid
+    return sum(1 for report in reports if report.pid != home_pid)
+
+
+def _record_flow_workers(
+    telemetry: PipelineTelemetry,
+    plan: SchedulePlan,
+    task_results: List[tuple],
+) -> None:
+    """Fold per-task flow reports into one telemetry entry per shard.
+
+    Keeps the long-standing arity invariant — exactly ``plan.workers``
+    ``flow_worker_stats`` entries whose scanner counts sum to the
+    population — whatever the task decomposition was.
+    """
+    for shard in range(plan.workers):
+        tasks = plan.shard_tasks(shard)
+        reports = [task_results[task.index][1] for task in tasks]
+        telemetry.record_flow_worker(
+            shard=shard,
+            scanners=sum(r.scanners for r in reports),
+            rows=sum(r.rows for r in reports),
+            seconds=sum(r.seconds for r in reports),
+            planned_cost=plan.planned_cost(shard),
+            tasks=len(tasks),
+            stolen_tasks=_stolen_tasks(tasks, reports),
+        )
+
+
 def parallel_flow_columns(
     scanners: Sequence,
     mixes: np.ndarray,
@@ -1049,7 +842,6 @@ def parallel_flow_columns(
     base: int,
     *,
     workers: int,
-    schedule: str = "static",
     use_processes: bool = True,
     telemetry: Optional[PipelineTelemetry] = None,
     retry: Optional[RetryPolicy] = None,
@@ -1065,7 +857,12 @@ def parallel_flow_columns(
     and concatenating the per-task columns in logical task order
     reproduces the serial population order exactly — the merge is a
     concat, and results are bit-identical to serial for any worker
-    count and schedule mode (hypothesis-tested 1..8).
+    count (hypothesis-tested 1..8).
+
+    The slices are cost-capped by
+    :meth:`~repro.scanners.base.Scanner.cost_estimate`, a few per worker
+    (:func:`~repro.core.schedule.plan_contiguous`), and submitted
+    heaviest first, so idle workers drain the stragglers' queue.
 
     Args:
         scanners: full population slice to synthesize, in order.
@@ -1074,13 +871,7 @@ def parallel_flow_columns(
         window: [start, end) collection period.
         day_seconds: day length for day indexing.
         base: the run's flow base seed.
-        workers: number of contiguous shards / worker processes.
-        schedule: ``static`` cuts even *count* slices
-            (``np.array_split``, the legacy layout); ``packed`` cuts at
-            cumulative :meth:`~repro.scanners.base.Scanner.cost_estimate`
-            quantiles so each worker gets equal predicted work;
-            ``stealing`` over-decomposes into cost-capped sub-tasks
-            submitted heaviest-first, so idle workers drain stragglers.
+        workers: number of logical shards / worker processes.
         use_processes: ``False`` runs shards serially in-process (same
             shard/merge code path; useful for tests).
         telemetry: optional gauge sink for per-worker throughput.
@@ -1092,16 +883,8 @@ def parallel_flow_columns(
 
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
     scanners = list(scanners)
-    if schedule == "static":
-        costs = np.ones(len(scanners), dtype=np.float64)
-    else:
-        costs = np.array(
-            [_scanner_cost(s, view, "flows") for s in scanners],
-            dtype=np.float64,
-        )
-    plan = plan_contiguous(costs, workers, schedule)
+    plan = plan_contiguous([s.cost_estimate() for s in scanners], workers)
     health = _resolve_health(telemetry)
     store = _checkpoint_store(
         checkpoint_dir,
@@ -1109,7 +892,6 @@ def parallel_flow_columns(
         {
             "kind": "flows",
             "workers": workers,
-            "schedule": schedule,
             "n_tasks": plan.n_tasks,
             "day_seconds": float(day_seconds),
             "base": int(base),
@@ -1142,7 +924,7 @@ def parallel_flow_columns(
         plan=fault_plan,
         use_processes=use_processes and workers > 1,
         max_workers=workers,
-        submit_order=plan.submit_order() if schedule != "static" else None,
+        submit_order=plan.submit_order(),
         health=health,
         store=store,
         kind="flows",
@@ -1150,16 +932,7 @@ def parallel_flow_columns(
         loads=_load_flow_state,
     )
     if telemetry is not None:
-        if schedule == "static":
-            for _, report in task_results:
-                telemetry.record_flow_worker(
-                    shard=report.shard,
-                    scanners=report.scanners,
-                    rows=report.rows,
-                    seconds=report.seconds,
-                )
-        else:
-            _record_flow_workers(telemetry, plan, task_results)
+        _record_flow_workers(telemetry, plan, task_results)
     return FlowColumns.concat([columns for columns, _ in task_results])
 
 
@@ -1173,7 +946,6 @@ def parallel_generate_detect(
     day_seconds: float = 86_400.0,
     *,
     workers: int,
-    schedule: str = "static",
     window: Optional[tuple] = None,
     use_processes: bool = True,
     telemetry: Optional[PipelineTelemetry] = None,
@@ -1204,16 +976,9 @@ def parallel_generate_detect(
         dark_size: telescope aperture (threshold normalization).
         config: detection thresholds configuration.
         day_seconds: day length for per-day statistics.
-        workers: number of source shards / worker processes.
-        schedule: ``static`` hash-shards the population by source (the
-            legacy layout); ``packed``/``stealing`` group scanners by
-            source address, predict each group's packet output with
-            :meth:`~repro.scanners.base.Scanner.cost_estimate`, and LPT
-            bin-pack the groups — ``stealing`` further splits each
-            worker's groups into stealable sub-tasks submitted
-            heaviest-first.  Same-source scanners always stay together
-            (per-source detection state), and results are identical in
-            every mode.
+        workers: number of source-hash shards / worker processes, one
+            task each (packet counts are unknown before generating, so
+            the shards weigh uniformly).
         window: overall [start, end) restriction (the scenario window).
         use_processes: ``False`` runs shards serially in-process (same
             code path; useful for tests).
@@ -1222,8 +987,8 @@ def parallel_generate_detect(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
     scanners = list(scanners)
+    sources = np.array([int(s.src) for s in scanners], dtype=np.uint64)
     health = _resolve_health(telemetry)
     store = _checkpoint_store(
         checkpoint_dir,
@@ -1231,7 +996,6 @@ def parallel_generate_detect(
         {
             "kind": "generate",
             "workers": workers,
-            "schedule": schedule,
             "chunk_seconds": float(chunk_seconds),
             "timeout": float(timeout),
             "dark_size": int(dark_size),
@@ -1239,73 +1003,27 @@ def parallel_generate_detect(
             "window": _window_meta(window),
             "config": _config_meta(config),
             "n_scanners": len(scanners),
-            "population": sha256_hex(
-                np.array(
-                    [int(s.src) for s in scanners], dtype=np.uint64
-                ).tobytes()
-            ),
+            "population": sha256_hex(sources.tobytes()),
         },
     )
-    if schedule == "static":
-        plan = None
-        shards = shard_scanners(scanners, workers)
-        args = [
-            (
-                index, shards[index], view, chunk_seconds, window,
-                timeout, dark_size, config, day_seconds,
-            )
-            for index in range(workers)
-        ]
-    else:
-        # Same-source scanners are one indivisible unit (per-source
-        # detection state); any source-disjoint partition of the
-        # population yields identical merged results, so the planner is
-        # free to bin-pack the groups by predicted packet output.
-        groups = _source_groups(scanners)
-        costs = [
-            sum(_scanner_cost(scanners[i], view, "packets") for i in group)
-            for group in groups
-        ]
-        plan = plan_grouped(costs, groups, workers, schedule)
-        args = [
-            (
-                task.index, [scanners[i] for i in task.items], view,
-                chunk_seconds, window, timeout, dark_size, config,
-                day_seconds,
-            )
-            for task in plan.tasks
-        ]
-    shard_results = run_sharded(
+    plan = plan_grouped(
+        [1.0] * workers, _hash_groups(sources, workers), workers
+    )
+    args = [
+        (
+            task.index, [scanners[i] for i in task.items], view,
+            chunk_seconds, window, timeout, dark_size, config, day_seconds,
+        )
+        for task in plan.tasks
+    ]
+    return _run_detect_plan(
         _run_shard_lazy,
+        plan,
         args,
-        policy=retry,
-        plan=fault_plan,
-        use_processes=use_processes and workers > 1,
-        max_workers=workers,
-        submit_order=plan.submit_order() if plan is not None else None,
+        use_processes=use_processes,
+        retry=retry,
+        fault_plan=fault_plan,
         health=health,
         store=store,
-        kind="detect",
-        dumps=_dump_detect_state,
-        loads=_load_detect_state,
+        telemetry=telemetry,
     )
-    if plan is not None:
-        shard_results = _fold_detect_tasks(
-            plan,
-            shard_results,
-            lambda: StreamingDetector(
-                timeout, dark_size, config, day_seconds
-            ),
-        )
-    if telemetry is not None:
-        telemetry.total_packets = sum(
-            report.packets for _, report in shard_results
-        )
-        watermarks = [
-            report.watermark
-            for _, report in shard_results
-            if report.watermark is not None
-        ]
-        if watermarks:
-            telemetry.watermark = max(watermarks)
-    return _finish_merged(shard_results, telemetry)

@@ -529,52 +529,29 @@ class Scanner:
             * session.probes_per_target
         )
 
-    def cost_estimate(
-        self,
-        view: Optional[View] = None,
-        *,
-        kind: str = "packets",
-        day_seconds: float = 86_400.0,
-    ) -> float:
-        """Predicted relative processing cost of this scanner (cheap).
+    def cost_estimate(self, *, day_seconds: float = 86_400.0) -> float:
+        """Predicted relative flow-synthesis cost of this scanner (cheap).
 
-        The size-aware shard planner (:mod:`repro.core.schedule`) calls
-        this once per scanner to bin-pack the population into balanced
-        shards, so it must be orders of magnitude cheaper than the work
-        it predicts — a few float operations per session, no RNG, no
-        array allocation.
+        The flow-synthesis planner
+        (:func:`repro.core.schedule.plan_contiguous`) calls this once
+        per scanner to cut the population into cost-capped slices, so
+        it must be orders of magnitude cheaper than the work it
+        predicts — a few float operations per session, no RNG, no array
+        allocation.
 
-        ``kind="packets"`` predicts the expected packets the scanner
-        emits into ``view`` (all of IPv4 when ``None``) over its whole
-        schedule — rate × duration for RATE sessions, coverage × view
-        size for COVERAGE, sampled-hit math for VERTICAL — the cost
-        driver of generation and detection.  ``kind="flows"`` predicts
-        flow-synthesis time in (day, port) count-cell units: the cells
-        the scanner materializes plus the calibrated per-scanner and
-        per-session fixed costs (:data:`FLOW_SCANNER_BASE_COST`,
+        The unit is (day, port) count cells: the cells the scanner
+        materializes plus the calibrated per-scanner and per-session
+        fixed costs (:data:`FLOW_SCANNER_BASE_COST`,
         :data:`FLOW_SESSION_BASE_COST`) — a 100k-pps single-port
-        scanner is heavy in packets but trivial in flow cells.
-
-        Both include per-session floors so even a scanner whose
-        sessions miss the view entirely costs more than an idle one,
-        and the total is always positive (>= 1).
+        scanner is heavy in packets but trivial in flow cells.  The
+        fixed costs keep the total positive even for an idle scanner.
         """
-        if kind not in ("packets", "flows"):
-            raise ValueError(
-                f"kind must be 'packets' or 'flows', got {kind!r}"
-            )
-        if kind == "flows":
-            cost = FLOW_SCANNER_BASE_COST
-            for session in self.sessions:
-                days = math.ceil(session.duration / day_seconds)
-                cost += FLOW_SESSION_BASE_COST + float(
-                    len(session.ports)
-                ) * max(days, 1)
-            return cost
-        cost = 1.0
-        ranges = view.ranges() if view is not None else full_ipv4_ranges()
+        cost = FLOW_SCANNER_BASE_COST
         for session in self.sessions:
-            cost += 1.0 + self._session_view_total(session, ranges)
+            days = math.ceil(session.duration / day_seconds)
+            cost += FLOW_SESSION_BASE_COST + float(
+                len(session.ports)
+            ) * max(days, 1)
         return cost
 
     def count_rows(

@@ -49,10 +49,6 @@ class ScenarioResult:
     #: shards its synthesis across this many processes (results are
     #: identical for any value).
     workers: Optional[int] = None
-    #: schedule mode the run was configured with (``static``/``packed``/
-    #: ``stealing``); lazy flow collection plans its shards the same
-    #: way.  Results are identical in every mode.
-    schedule: str = "stealing"
     #: checkpoint/run directory the run was configured with; lazy flow
     #: collection checkpoints its shards under ``<dir>/flows``.
     checkpoint_dir: Optional[str] = None
@@ -150,7 +146,6 @@ class ScenarioResult:
             rng,
             exporter,
             workers=workers,
-            schedule=self.schedule,
             telemetry=self.telemetry,
             retry=retry,
             checkpoint_dir=flow_checkpoint,
@@ -239,7 +234,6 @@ def _parallel_events_and_detections(
     scenario: Scenario,
     chunk_seconds: float,
     workers: int,
-    schedule: str = "stealing",
     retry=None,
     checkpoint_dir=None,
 ) -> tuple:
@@ -265,7 +259,6 @@ def _parallel_events_and_detections(
         scenario.detection,
         scenario.clock.seconds_per_day,
         workers=workers,
-        schedule=schedule,
         window=scenario.window(),
         telemetry=telemetry,
         retry=retry,
@@ -281,7 +274,6 @@ def _directory_events_and_detections(
     scenario: Scenario,
     chunk_seconds: float,
     workers: int,
-    schedule: str = "stealing",
     retry=None,
     checkpoint_dir=None,
     on_corrupt: str = "raise",
@@ -304,7 +296,6 @@ def _directory_events_and_detections(
         scenario.detection,
         scenario.clock.seconds_per_day,
         workers=workers,
-        schedule=schedule,
         telemetry=telemetry,
         retry=retry,
         checkpoint_dir=checkpoint_dir,
@@ -365,7 +356,6 @@ def run_scenario(
     mode: str = "batch",
     chunk_seconds: Optional[float] = None,
     workers: Optional[int] = None,
-    schedule: str = "stealing",
     capture_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     shard_retries: Optional[int] = None,
@@ -394,12 +384,6 @@ def run_scenario(
             ISP flow synthesis behind ``collect_flows`` shards its
             population across the same pool.  Defaults to the scenario's
             ``workers``; ``None`` or 1 runs the serial pipelines.
-        schedule: how parallel work is laid out across the pool —
-            ``static`` (legacy contiguous/hash shards, one per worker),
-            ``packed`` (size-aware bin packing by predicted cost) or
-            ``stealing`` (the default: packed plus over-decomposition
-            into sub-tasks that idle workers steal).  Results are
-            bit-identical in every mode; only load balance changes.
         capture_dir: detect over a ``save_packets_chunked`` directory
             instead of generating the capture (streaming mode only);
             archives are digest-verified against the chunk manifest.
@@ -414,11 +398,8 @@ def run_scenario(
             chunk archive, naming it; ``"quarantine"`` skips damaged
             archives and accounts them in ``telemetry.health``.
     """
-    from repro.core.schedule import validate_mode
-
     if mode not in ("batch", "streaming"):
         raise ValueError(f"unknown mode: {mode!r}")
-    validate_mode(schedule)
     if workers is None:
         workers = scenario.workers
     if workers is not None and workers < 1:
@@ -453,7 +434,6 @@ def run_scenario(
             events, detections, telemetry = _directory_events_and_detections(
                 capture_dir, telescope, timeout, scenario, chunk_seconds,
                 workers if workers is not None else 1,
-                schedule=schedule,
                 retry=retry,
                 checkpoint_dir=checkpoint_dir,
                 on_corrupt=on_corrupt,
@@ -462,7 +442,6 @@ def run_scenario(
             events, detections, telemetry = _parallel_events_and_detections(
                 telescope, population, timeout, scenario, chunk_seconds,
                 workers if workers is not None else 1,
-                schedule=schedule,
                 retry=retry,
                 checkpoint_dir=checkpoint_dir,
             )
@@ -498,7 +477,6 @@ def run_scenario(
         mode=mode,
         telemetry=telemetry,
         workers=workers,
-        schedule=schedule,
         checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
         shard_retries=shard_retries,
         _capture=capture,

@@ -49,6 +49,18 @@ class TestParser:
         with pytest.raises(SystemExit, match=">= 1"):
             cli.main(["--workers", "0", "summary"])
 
+    def test_schedule_flag_is_usage_error(self, capsys):
+        # Each parallel stage has one fixed shard layout; there is no
+        # option to pick another.
+        for argv in (
+            ["--workers", "2", "--schedule", "stealing", "summary"],
+            ["--workers", "2", "summary", "--schedule", "stealing"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2
+        assert "unrecognized arguments: --schedule" in capsys.readouterr().err
+
 
 class TestCommands:
     """End-to-end CLI runs over the tiny scenario (one per command)."""

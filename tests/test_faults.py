@@ -6,6 +6,8 @@ corrupt checkpoints and interrupted runs must all converge to results
 bit-identical to a fault-free serial run.
 """
 
+import dataclasses
+import json
 import pickle
 import tempfile
 
@@ -26,6 +28,7 @@ from repro.core.faults import (
     run_sharded,
     sha256_hex,
 )
+from repro.core.schedule import plan_contiguous
 from repro.core.telemetry import PipelineTelemetry, RunHealth
 from repro.io.packetlog import save_packets_chunked
 from repro.parallel import (
@@ -590,7 +593,13 @@ class TestFlowShardFaults:
             workers=3, use_processes=False,
             telemetry=telemetry, checkpoint_dir=run_dir,
         )
-        assert telemetry.health.checkpoint_hits == 2
+        # In-process runs execute the tasks in the plan's submit order,
+        # so the interrupted run checkpointed exactly the tasks ahead of
+        # the victim (task 2) in that order.
+        plan = plan_contiguous([s.cost_estimate() for s in scanners], 3)
+        ahead = plan.submit_order().index(2)
+        assert ahead > 0
+        assert telemetry.health.checkpoint_hits == ahead
         for name in ("router", "day", "src", "dport", "proto", "true"):
             assert np.array_equal(
                 getattr(serial, name), getattr(resumed, name)
@@ -598,17 +607,15 @@ class TestFlowShardFaults:
 
 
 class TestScheduledFaults:
-    """Scheduling modes preserve the whole fault-tolerance contract:
-    kills, interrupts and resumes still converge to the serial result,
-    and a checkpointed run refuses to resume under a different plan."""
+    """The fixed shard layouts keep the whole fault-tolerance contract:
+    packet-weighted detection tasks and stealable flow slices still
+    converge to the serial result under kills, interrupts and resumes,
+    and a checkpoint written under the retired ``schedule`` option
+    refuses to resume."""
 
     @settings(deadline=None, max_examples=12)
-    @given(
-        workers=st.integers(1, 6),
-        victim=st.integers(0, 5),
-        schedule=st.sampled_from(["packed", "stealing"]),
-    )
-    def test_scheduled_kill_retry_identical(self, workers, victim, schedule):
+    @given(workers=st.integers(1, 6), victim=st.integers(0, 5))
+    def test_scheduled_kill_retry_identical(self, workers, victim):
         plan = FaultPlan(kill={victim % workers: 1})
         result = parallel_detect(
             _chunks(),
@@ -616,7 +623,6 @@ class TestScheduledFaults:
             _DARK_SIZE,
             _CONFIG,
             workers=workers,
-            schedule=schedule,
             use_processes=False,
             retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
             fault_plan=plan,
@@ -624,13 +630,12 @@ class TestScheduledFaults:
         _assert_tables_identical(result.events, _REF_EVENTS)
         _assert_detections_identical(result.detections, _REF_DETECTIONS)
 
-    @pytest.mark.parametrize("schedule", ["packed", "stealing"])
-    def test_scheduled_interrupt_resume_identical(self, schedule, tmp_path):
+    def test_scheduled_interrupt_resume_identical(self, tmp_path):
         run_dir = tmp_path / "run"
         with pytest.raises(ShardFailedError):
             parallel_detect(
                 _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-                workers=3, schedule=schedule, use_processes=False,
+                workers=3, use_processes=False,
                 retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
                 fault_plan=FaultPlan(kill={1: 1}),
                 checkpoint_dir=run_dir,
@@ -638,46 +643,46 @@ class TestScheduledFaults:
         telemetry = PipelineTelemetry(chunk_seconds=3_600.0)
         result = parallel_detect(
             _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-            workers=3, schedule=schedule, use_processes=False,
+            workers=3, use_processes=False,
             telemetry=telemetry, checkpoint_dir=run_dir,
         )
-        # The plan is a pure function of (costs, workers, mode), so the
-        # resume re-derives it and reloads every task that finished
+        # The plan is a pure function of the shards' packet counts, so
+        # the resume re-derives it and reloads every task that finished
         # before the injected kill.
         assert telemetry.health.checkpoint_hits >= 1
         _assert_tables_identical(result.events, _REF_EVENTS)
         _assert_detections_identical(result.detections, _REF_DETECTIONS)
 
-    def test_schedule_change_refuses_resume(self, tmp_path):
-        parallel_detect(
-            _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-            workers=2, schedule="packed", use_processes=False,
-            checkpoint_dir=tmp_path / "run",
-        )
-        with pytest.raises(ValueError, match="schedule"):
-            parallel_detect(
-                _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-                workers=2, schedule="stealing", use_processes=False,
-                checkpoint_dir=tmp_path / "run",
-            )
-
-    def test_resume_run_restores_schedule(self, tmp_path):
+    def test_legacy_schedule_checkpoint_refuses_resume(self, tmp_path):
+        # A run.json as runs with a ``schedule`` option recorded it: the
+        # key no longer matches the run parameters, so both a rerun into
+        # the directory and resume_run must refuse instead of merging.
         save_packets_chunked(_BATCH, tmp_path / "cap", 50_000.0)
         run_dir = tmp_path / "run"
-        with pytest.raises(ShardFailedError):
+        run_dir.mkdir()
+        legacy = {
+            "kind": "directory",
+            "directory": str(tmp_path / "cap"),
+            "workers": 2,
+            "schedule": "stealing",
+            "timeout": 600.0,
+            "dark_size": _DARK_SIZE,
+            "day_seconds": 86_400.0,
+            "config": dataclasses.asdict(_CONFIG),
+        }
+        (run_dir / "run.json").write_text(
+            json.dumps(legacy, indent=2, sort_keys=True)
+        )
+        with pytest.raises(ValueError, match="schedule"):
             parallel_detect_directory(
                 tmp_path / "cap", 600.0, _DARK_SIZE, _CONFIG,
-                workers=3, schedule="stealing", use_processes=False,
-                retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
-                fault_plan=FaultPlan(kill={1: 1}),
-                checkpoint_dir=run_dir,
+                workers=2, use_processes=False, checkpoint_dir=run_dir,
             )
-        result = resume_run(run_dir, use_processes=False)
-        _assert_tables_identical(result.events, _REF_EVENTS)
-        _assert_detections_identical(result.detections, _REF_DETECTIONS)
+        with pytest.raises(ValueError, match="schedule"):
+            resume_run(run_dir, use_processes=False)
+        assert json.loads((run_dir / "run.json").read_text()) == legacy
 
-    @pytest.mark.parametrize("schedule", ["packed", "stealing"])
-    def test_scheduled_flow_kill_retry_identical(self, schedule):
+    def test_scheduled_flow_kill_retry_identical(self):
         from repro.flows.synthesis import synthesize_flow_columns
         from repro.sim.runner import run_scenario
         from repro.sim.scenario import tiny_scenario
@@ -696,7 +701,7 @@ class TestScheduledFaults:
         faulted = parallel_flow_columns(
             scanners, mixes, result.merit.transit_view, window,
             day_seconds, base,
-            workers=3, schedule=schedule, use_processes=False,
+            workers=3, use_processes=False,
             retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
             fault_plan=FaultPlan(kill={0: 1}),
         )

@@ -91,6 +91,31 @@ class TestGate:
         )
         assert kept == [] and len(errors) == 1
 
+    def test_drops_non_finite_timestamps(self):
+        chunks = _chunks(_capture(3), 3)
+        ts = chunks[1].ts.copy()
+        ts[-1] = np.nan
+        poisoned = PacketBatch(
+            ts=ts,
+            src=chunks[1].src,
+            dst=chunks[1].dst,
+            dport=chunks[1].dport,
+            proto=chunks[1].proto,
+            ipid=chunks[1].ipid,
+        )
+        errors = []
+        kept = gate_time_order(
+            [chunks[0], poisoned, chunks[2]], None, errors
+        )
+        assert kept == [chunks[0], chunks[2]]
+        assert len(errors) == 1 and "non-finite" in errors[0]
+        # The dropped chunk leaves the gate's watermark alone, so a
+        # stale chunk after it is still caught.
+        errors = []
+        kept = gate_time_order([chunks[2], poisoned, chunks[0]], None, errors)
+        assert kept == [chunks[2]]
+        assert len(errors) == 2
+
 
 class TestPooledParity:
     @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -80,8 +80,8 @@ class TestSharding:
             shard_of(np.arange(4, dtype=np.uint32), 0)
 
     def test_shard_scanners_legacy_layout_stable(self):
-        # Backward compat for schedule="static": the hash-grouped
-        # scanner partition must keep matching shard_of on each source,
+        # The hash-grouped scanner partition (the lazy-generation
+        # layout) must keep matching shard_of on each source,
         # preserving population order within a shard.
         class _Fake:
             def __init__(self, src):
@@ -134,6 +134,12 @@ class TestParallelDetect:
         assert sum(r.packets for r in result.worker_reports) == len(batch)
         assert all(r.seconds >= 0 for r in result.worker_reports)
         assert [r.shard for r in result.worker_reports] == [0, 1, 2]
+        # One task per worker, each holding one whole source-hash shard,
+        # packed heaviest first by the packet counts taken while chunking.
+        counts = np.bincount(shard_of(batch.src, 3), minlength=3)
+        assert [r.packets for r in result.worker_reports] == sorted(
+            counts.tolist(), reverse=True
+        )
 
     def test_telemetry_aggregation(self):
         batch = _random_capture(23, n=8_000)
@@ -221,25 +227,6 @@ class TestRunnerIntegration:
         )
         assert parallel.telemetry.workers == 2
 
-    @pytest.mark.parametrize("schedule", ["static", "packed", "stealing"])
-    def test_schedule_modes_match_batch(self, batch_result, schedule):
-        # The full streaming pipeline — lazy generation, grouped
-        # scheduling, detection, flow synthesis — under every mode:
-        # identical results, telemetry arity pinned to the worker count.
-        parallel = run_scenario(
-            tiny_scenario(), mode="streaming", workers=2, schedule=schedule
-        )
-        _assert_tables_identical(parallel.events, batch_result.events)
-        _assert_detections_identical(
-            parallel.detections, batch_result.detections
-        )
-        assert parallel.schedule == schedule
-        assert len(parallel.telemetry.worker_stats) == 2
-        if schedule == "stealing":
-            assert any(
-                w.tasks > 1 for w in parallel.telemetry.worker_stats
-            )
-
     def test_span_counters_threaded_to_telemetry(self, batch_result):
         # The lazy path reports spans_derived (pre-dedup derivation
         # units) separately from spans_emitted, all the way into the
@@ -258,11 +245,20 @@ class TestRunnerIntegration:
         rows = dict(parallel.telemetry.summary_rows())
         assert any("derived" in value for value in rows.values())
 
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
+    def test_one_task_per_worker(self, batch_result):
+        # Sharded detection has one fixed layout — one source-hash shard
+        # per worker — and no option left to pick another.
+        parallel = run_scenario(tiny_scenario(), mode="streaming", workers=3)
+        _assert_detections_identical(
+            parallel.detections, batch_result.detections
+        )
+        stats = parallel.telemetry.worker_stats
+        assert [w.shard for w in stats] == [0, 1, 2]
+        assert sum(w.packets for w in stats) == parallel.telemetry.total_packets
+        with pytest.raises(TypeError, match="schedule"):
             run_scenario(
                 tiny_scenario(), mode="streaming", workers=2,
-                schedule="adaptive",
+                schedule="stealing",
             )
 
     def test_workers_allowed_in_batch_mode(self, batch_result):
@@ -280,11 +276,10 @@ class TestRunnerIntegration:
 
 
 # ----------------------------------------------------------------------
-# Property: for any shard count in 1..8 and any scheduling mode,
-# sharded streaming detection emits AH sets (and thresholds, and the
-# event table) identical to serial detect_all, for all three
-# definitions.  In-process execution — the shard/merge code path is
-# exactly the process-pool one.
+# Property: for any shard count in 1..8, sharded streaming detection
+# emits AH sets (and thresholds, and the event table) identical to
+# serial detect_all, for all three definitions.  In-process execution —
+# the shard/merge code path is exactly the process-pool one.
 # ----------------------------------------------------------------------
 
 packet_rows = st.lists(
@@ -302,12 +297,11 @@ packet_rows = st.lists(
 @given(
     packet_rows,
     st.integers(min_value=1, max_value=8),
-    st.sampled_from(["static", "packed", "stealing"]),
     st.floats(min_value=10.0, max_value=2_000.0),
     st.floats(min_value=50.0, max_value=6_000.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_sharded_equals_serial(rows, workers, schedule, timeout, chunk_seconds):
+def test_sharded_equals_serial(rows, workers, timeout, chunk_seconds):
     batch = _packets([(ts, s, d, p, TCP) for ts, s, d, p in rows])
     ref_events = build_events(batch, timeout)
     ref_detections = detect_all(ref_events, _DARK_SIZE, _CONFIG)
@@ -318,7 +312,6 @@ def test_sharded_equals_serial(rows, workers, schedule, timeout, chunk_seconds):
         _DARK_SIZE,
         _CONFIG,
         workers=workers,
-        schedule=schedule,
         use_processes=False,
     )
     _assert_tables_identical(

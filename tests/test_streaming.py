@@ -81,6 +81,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             builder.add_batch(_packets([(50, 2, 10, 80, TCP)]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamps_rejected(self, bad):
+        # A NaN would otherwise become the watermark (NaN compares False
+        # against everything), letting any later chunk in out of order.
+        builder = StreamingEventBuilder(timeout=60.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            builder.add_batch(
+                _packets([(30.0, 1, 10, 80, TCP), (bad, 1, 11, 80, TCP)])
+            )
+        assert builder.watermark is None
+        builder.add_batch(_packets([(40.0, 1, 10, 80, TCP)]))
+        with pytest.raises(ValueError, match="out-of-order"):
+            builder.add_batch(_packets([(1.0, 2, 10, 80, TCP)]))
+
     def test_empty_batches_ignored(self):
         builder = StreamingEventBuilder(timeout=60.0)
         builder.add_batch(PacketBatch.empty())
