@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve perf-gate perfbench-selftest ci-local
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve perf-gate perfbench-selftest perfbench-ab ci-local
 
 lint:
 	ruff check .
@@ -89,6 +89,39 @@ perf-gate:
 # stops calling a function the benchmark's tracer wraps.
 perfbench-selftest:
 	$(PYTHON) perfbench/selftest.py
+
+# Repository-benchmark A/B against another revision (local only, not a
+# CI job; about 30 minutes at PAIRS=10 on two cores).  Extracts BASE
+# with git archive into build/perfbench-ab/base, then, for each workload
+# BENCHMARK.json names, runs PAIRS pairs of perfbench/run.py at the
+# declared run_seconds and seed SEED -- base first in odd pairs, this
+# checkout first in even ones, each side with its own results directory
+# -- and ends with perfbench/compare.py base change.
+BASE ?= HEAD
+PAIRS ?= 10
+SEED ?= 0
+AB_DIR := build/perfbench-ab
+perfbench-ab:
+	rm -rf $(AB_DIR)
+	mkdir -p $(AB_DIR)/base $(AB_DIR)/results/base $(AB_DIR)/results/change
+	git archive $(BASE) | tar -x -C $(AB_DIR)/base
+	set -e; \
+	seconds=$$($(PYTHON) -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])'); \
+	workloads=$$($(PYTHON) -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); \
+	results=$(CURDIR)/$(AB_DIR)/results; \
+	run() { (cd $$1 && python3 perfbench/run.py --workload $$2 --seed $(SEED) \
+		--seconds $$seconds --results-dir $$results/$$3); }; \
+	for workload in $$workloads; do \
+		for pair in $$(seq 1 $(PAIRS)); do \
+			echo "perfbench-ab: $$workload pair $$pair/$(PAIRS)"; \
+			if [ $$((pair % 2)) -eq 1 ]; then \
+				run $(AB_DIR)/base $$workload base; run . $$workload change; \
+			else \
+				run . $$workload change; run $(AB_DIR)/base $$workload base; \
+			fi; \
+		done; \
+	done
+	python3 perfbench/compare.py $(AB_DIR)/results/base $(AB_DIR)/results/change
 
 # The whole CI job sequence, in order, on the local machine: lint,
 # byte-compile, tier-1 tests (with the same JUnit/durations artifacts),

@@ -38,7 +38,7 @@ from repro.config import DetectionConfig
 from repro.core.detection import DetectionResult
 from repro.core.events import EventTable
 from repro.core.faults import CheckpointStore
-from repro.core.streaming import ChunkReport, StreamingDetector
+from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry
 from repro.io.packetlog import packets_from_npz_bytes
 from repro.io.shm import resolve_batch, share_batches, want_shared_memory
@@ -57,8 +57,9 @@ ENGINE_CKPT_KIND = "engine"
 class IngestReport:
     """What one (possibly coalesced) ingest call folded in.
 
-    The micro-batch analogue of
+    The engine-level superset of
     :class:`~repro.core.streaming.ChunkReport`: one report per
+    :meth:`DetectionEngine.ingest` call (``chunks == 1``) or per
     :meth:`DetectionEngine.ingest_payloads` call, covering every wire
     chunk it coalesced.  ``chunks`` counts the chunks actually folded;
     chunks that failed to decode (or arrived out of order) are dropped
@@ -157,6 +158,36 @@ def gate_time_order(
         mark = max(mark, last)
         kept.append(batch)
     return kept
+
+
+def fold_batches(
+    detector: StreamingDetector,
+    batches: Sequence[PacketBatch],
+    errors: List[str],
+    max_ecdf_samples: Optional[int],
+) -> Tuple[int, int, bool]:
+    """Fold already-gated batches into one detector shard as one pass.
+
+    The single fold step every engine shard runs, in-process or inside
+    a :class:`~repro.serve.foldpool.FoldPool` worker: concatenate,
+    ``add_batch`` (a failure is appended to ``errors``, not raised),
+    then hold the volume ECDF to ``max_ecdf_samples``.  Empty batches
+    are skipped.  Returns ``(packets, events_finalized, degraded)``,
+    where ``degraded`` is True once the shard's volume ECDF was ever
+    compacted.
+    """
+    batch = PacketBatch.concat(batches)
+    packets = finalized = 0
+    if len(batch):
+        try:
+            report = detector.add_batch(batch)
+            packets = report.packets
+            finalized = report.events_finalized
+        except Exception as exc:  # noqa: BLE001 — surface, don't die
+            errors.append(str(exc))
+    if max_ecdf_samples is not None:
+        detector.bound_volume_samples(max_ecdf_samples)
+    return packets, finalized, detector.volume_approximate
 
 
 class DetectionEngine:
@@ -281,41 +312,30 @@ class DetectionEngine:
     # Gauges
     # ------------------------------------------------------------------
     @property
+    def _shards(self) -> list:
+        """Per-shard gauge sources: the live detectors, or their
+        parent-side mirrors while pooled (same attribute names)."""
+        return self._gauges if self._pool is not None else self._detectors
+
+    @property
     def packets_seen(self) -> int:
-        if self._pool is not None:
-            return sum(g.packets_seen for g in self._gauges)
-        return sum(d.packets_seen for d in self._detectors)
+        return sum(s.packets_seen for s in self._shards)
 
     @property
     def events_finalized(self) -> int:
-        if self._pool is not None:
-            return sum(g.events_finalized for g in self._gauges)
-        return sum(d.events_finalized for d in self._detectors)
+        return sum(s.events_finalized for s in self._shards)
 
     @property
     def open_flows(self) -> int:
-        if self._pool is not None:
-            return sum(g.open_flows for g in self._gauges)
-        return sum(d.open_flows for d in self._detectors)
+        return sum(s.open_flows for s in self._shards)
 
     @property
     def peak_open_flows(self) -> int:
-        if self._pool is not None:
-            return sum(g.peak_open_flows for g in self._gauges)
-        return sum(d.peak_open_flows for d in self._detectors)
+        return sum(s.peak_open_flows for s in self._shards)
 
     @property
     def watermark(self) -> Optional[float]:
-        if self._pool is not None:
-            marks = [
-                g.watermark for g in self._gauges if g.watermark is not None
-            ]
-        else:
-            marks = [
-                d.watermark
-                for d in self._detectors
-                if d.watermark is not None
-            ]
+        marks = [s.watermark for s in self._shards if s.watermark is not None]
         return max(marks) if marks else None
 
     @property
@@ -431,7 +451,9 @@ class DetectionEngine:
         if self._pool is None:
             return
         pool, key = self._pool, self._pool_key
-        self._detectors = self._collect_detectors()
+        self._detectors = [
+            StreamingDetector.from_bytes(blob) for blob in self._shard_blobs()
+        ]
         self._pool = None
         self._pool_key = None
         self._gauges = []
@@ -455,108 +477,91 @@ class DetectionEngine:
         ]
         pool.drop(key)
 
-    def _collect_detectors(self) -> List[StreamingDetector]:
-        """Fresh local detector copies of the pooled shard states."""
-        detectors = []
-        for index in range(self.workers):
-            blob = self._pool.collect((self._pool_key, index))
-            detectors.append(
-                StreamingDetector.from_bytes(blob)
-                if blob is not None
-                else self._new_detector()
-            )
-        return detectors
+    def _shard_blobs(self) -> List[bytes]:
+        """Every shard's serialized state, in shard order.
 
-    def _apply_reply(self, index: int, reply) -> None:
-        gauge = self._gauges[index]
-        gauge.packets_seen = reply.packets_seen
-        gauge.events_finalized = reply.events_total
-        gauge.open_flows = reply.open_flows
-        gauge.peak_open_flows = reply.peak_open_flows
-        gauge.watermark = reply.watermark
-        if reply.degraded:
-            self._degraded = True
+        While pooled the states come over the worker pipes
+        (``collect``), which ship the very same serialization; a shard
+        the pool never folded into serializes as a fresh detector.
+        """
+        if self._pool is None:
+            return [d.to_bytes() for d in self._detectors]
+        blobs = [
+            self._pool.collect((self._pool_key, index))
+            for index in range(self.workers)
+        ]
+        return [
+            blob if blob is not None else self._new_detector().to_bytes()
+            for blob in blobs
+        ]
 
-    def _fold_pooled(self, batch, errors: List[str]) -> Tuple[int, int]:
-        """Fold one coalesced batch through the attached pool."""
+    def _fold_in_pool(
+        self, shards: List[int], payloads: list, errors: List[str]
+    ) -> Tuple[int, int]:
+        """Send one fold payload per listed shard to its pool worker,
+        then mirror each reply's gauges."""
         spec = self._shard_spec()
-        lease = None
-        if self.workers == 1:
-            live = [0]
-            requests = [
+        replies = self._pool.fold_many(
+            [
                 (
-                    (self._pool_key, 0),
+                    (self._pool_key, index),
                     spec,
-                    self._gauges[0].packets_seen,
-                    ("batch", batch),
-                )
-            ]
-        else:
-            subs = self.shard_batch(batch)
-            live = [i for i, sub in enumerate(subs) if len(sub)]
-            nbytes = sum(subs[i].nbytes for i in live)
-            if want_shared_memory(self._pool.shm, True, nbytes):
-                handles, lease = share_batches(
-                    [subs[i] for i in live], "fold"
-                )
-                payloads = [("shm", handle) for handle in handles]
-            else:
-                payloads = [("batch", subs[i]) for i in live]
-            requests = [
-                (
-                    (self._pool_key, i),
-                    spec,
-                    self._gauges[i].packets_seen,
+                    self._gauges[index].packets_seen,
                     payload,
                 )
-                for i, payload in zip(live, payloads)
+                for index, payload in zip(shards, payloads)
             ]
-        try:
-            replies = self._pool.fold_many(requests)
-        finally:
-            if lease is not None:
-                lease.close()
+        )
         packets = finalized = 0
-        for index, reply in zip(live, replies):
-            self._apply_reply(index, reply)
+        for index, reply in zip(shards, replies):
+            gauge = self._gauges[index]
+            gauge.packets_seen = reply.packets_seen
+            gauge.events_finalized = reply.events_total
+            gauge.open_flows = reply.open_flows
+            gauge.peak_open_flows = reply.peak_open_flows
+            gauge.watermark = reply.watermark
+            self._degraded = self._degraded or reply.degraded
             errors.extend(reply.errors)
             packets += reply.packets
             finalized += reply.events_finalized
         return packets, finalized
 
+    def _fold_pooled(self, batch, errors: List[str]) -> Tuple[int, int]:
+        """Fold one coalesced batch through the attached pool."""
+        subs = self.shard_batch(batch)
+        live = [i for i, sub in enumerate(subs) if len(sub)]
+        lease = None
+        if want_shared_memory(
+            self._pool.shm, True, sum(subs[i].nbytes for i in live)
+        ):
+            handles, lease = share_batches([subs[i] for i in live], "fold")
+            payloads = [("shm", handle) for handle in handles]
+        else:
+            payloads = [("batch", subs[i]) for i in live]
+        try:
+            return self._fold_in_pool(live, payloads, errors)
+        finally:
+            if lease is not None:
+                lease.close()
+
     def _fold_coalesced(
         self, kept: List[PacketBatch], errors: List[str]
     ) -> Tuple[int, int]:
-        """Fold already-gated batches as one concatenated pass."""
+        """Fold already-gated batches, split by source shard, as one
+        concatenated pass — in-process, or through the attached pool."""
         if not kept:
             return 0, 0
-        batch = kept[0] if len(kept) == 1 else PacketBatch.concat(kept)
+        batch = PacketBatch.concat(kept)
         if self._pool is not None:
             return self._fold_pooled(batch, errors)
         packets = finalized = 0
-        if self.workers == 1:
-            try:
-                report = self._detectors[0].add_batch(batch)
-                packets = report.packets
-                finalized = report.events_finalized
-            except Exception as exc:  # noqa: BLE001 — surface, don't die
-                errors.append(str(exc))
-        else:
-            for detector, sub in zip(
-                self._detectors, self.shard_batch(batch)
-            ):
-                if len(sub) == 0:
-                    continue
-                try:
-                    report = detector.add_batch(sub)
-                    packets += report.packets
-                    finalized += report.events_finalized
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(str(exc))
-        if self.max_ecdf_samples is not None:
-            for detector in self._detectors:
-                if detector.bound_volume_samples(self.max_ecdf_samples):
-                    self._degraded = True
+        for detector, sub in zip(self._detectors, self.shard_batch(batch)):
+            folded, closed, degraded = fold_batches(
+                detector, [sub], errors, self.max_ecdf_samples
+            )
+            packets += folded
+            finalized += closed
+            self._degraded = self._degraded or degraded
         return packets, finalized
 
     def _account_fold(
@@ -632,19 +637,9 @@ class DetectionEngine:
         t0 = time.perf_counter()
         errors: List[str] = []
         if self._pool is not None and self.workers == 1:
-            reply = self._pool.fold_many(
-                [
-                    (
-                        (self._pool_key, 0),
-                        self._shard_spec(),
-                        self._gauges[0].packets_seen,
-                        ("npz", list(blobs)),
-                    )
-                ]
-            )[0]
-            self._apply_reply(0, reply)
-            errors.extend(reply.errors)
-            packets, finalized = reply.packets, reply.events_finalized
+            packets, finalized = self._fold_in_pool(
+                [0], [("npz", list(blobs))], errors
+            )
         else:
             batches = []
             for blob in blobs:
@@ -665,7 +660,7 @@ class DetectionEngine:
             packets, finalized, chunks, errors, t0, window_end
         )
 
-    def ingest(self, chunk) -> ChunkReport:
+    def ingest(self, chunk) -> IngestReport:
         """Fold one time-ordered capture chunk into the shard pool.
 
         ``chunk`` is a :class:`~repro.packet.PacketBatch` or anything
@@ -678,76 +673,26 @@ class DetectionEngine:
         shared-memory segment — the zero-copy ingest path; the handle's
         segment must stay leased by its producer until this call
         returns.
+
+        Returns the chunk's :class:`IngestReport` (``chunks == 1``).
+        The chunk is refused whole, with ``ValueError`` and before any
+        shard folds or any counter moves, when its earliest packet —
+        of any protocol, backscatter included — precedes the engine
+        :attr:`watermark`, or when it holds a non-finite timestamp:
+        the same rule :meth:`ingest_payloads` applies per wire chunk,
+        pooled or not.
         """
         if self._finished:
             raise RuntimeError("engine already finished")
-        batch = resolve_batch(getattr(chunk, "packets", chunk))
-        if self._pool is not None:
-            t0 = time.perf_counter()
-            errors: List[str] = []
-            kept = gate_time_order([batch], self.watermark, errors)
-            packets, finalized = self._fold_coalesced(kept, errors)
-            if errors:
-                raise ValueError("; ".join(errors))
-            report = self._account_fold(
-                packets, finalized, 1, errors, t0,
-                getattr(chunk, "end", None),
-            )
-            return ChunkReport(
-                packets=report.packets,
-                events_finalized=report.events_finalized,
-                open_flows=report.open_flows,
-                watermark=report.watermark,
-            )
         t0 = time.perf_counter()
-        if self.workers == 1:
-            report = self._detectors[0].add_batch(batch)
-            packets = report.packets
-            finalized = report.events_finalized
-            open_flows = report.open_flows
-            watermark = report.watermark
-        else:
-            finalized = 0
-            for detector, sub in zip(
-                self._detectors, self.shard_batch(batch)
-            ):
-                if len(sub):
-                    finalized += detector.add_batch(sub).events_finalized
-            packets = len(batch)
-            open_flows = self.open_flows
-            watermark = self.watermark
-        if self.max_ecdf_samples is not None:
-            for detector in self._detectors:
-                if detector.bound_volume_samples(self.max_ecdf_samples):
-                    self._degraded = True
-        seconds = time.perf_counter() - t0
-        if self.telemetry is not None:
-            self.telemetry.stage("detect").add(packets, finalized, seconds)
-            window_end = getattr(chunk, "end", None)
-            self.telemetry.record_chunk(
-                packets=packets,
-                events_finalized=finalized,
-                open_flows=open_flows,
-                window_end=(
-                    window_end
-                    if window_end is not None
-                    else (watermark if watermark is not None else 0.0)
-                ),
-                watermark=watermark,
-            )
-        self._chunks_ingested += 1
-        self._chunks_since_snapshot += 1
-        if (
-            self.store is not None
-            and self.snapshot_every_chunks is not None
-            and self._chunks_since_snapshot >= self.snapshot_every_chunks
-        ):
-            self.save_snapshot()
-        return ChunkReport(
-            packets=packets,
-            events_finalized=finalized,
-            open_flows=open_flows,
-            watermark=watermark,
+        errors: List[str] = []
+        batch = resolve_batch(getattr(chunk, "packets", chunk))
+        kept = gate_time_order([batch], self.watermark, errors)
+        packets, finalized = self._fold_coalesced(kept, errors)
+        if errors:
+            raise ValueError("; ".join(errors))
+        return self._account_fold(
+            packets, finalized, 1, errors, t0, getattr(chunk, "end", None)
         )
 
     # ------------------------------------------------------------------
@@ -758,17 +703,11 @@ class DetectionEngine:
 
         The copy goes through ``to_bytes``/``from_bytes`` — the exact
         serialization snapshots and checkpoints use, so a query answers
-        from the same bytes a restore would.  With a fold pool attached
-        the states come over the worker pipes (``collect``), which ship
-        the very same serialization.
+        from the same bytes a restore would (see :meth:`_shard_blobs`).
         """
-        if self._pool is not None:
-            copies = self._collect_detectors()
-        else:
-            copies = [
-                StreamingDetector.from_bytes(d.to_bytes())
-                for d in self._detectors
-            ]
+        copies = [
+            StreamingDetector.from_bytes(blob) for blob in self._shard_blobs()
+        ]
         merged = copies[0]
         for other in copies[1:]:
             merged.merge(other)
@@ -884,15 +823,6 @@ class DetectionEngine:
         """
         if self._finished:
             raise RuntimeError("cannot snapshot a finished engine")
-        if self._pool is not None:
-            blobs = []
-            for index in range(self.workers):
-                blob = self._pool.collect((self._pool_key, index))
-                if blob is None:
-                    blob = self._new_detector().to_bytes()
-                blobs.append(blob)
-        else:
-            blobs = [d.to_bytes() for d in self._detectors]
         payload = {
             "timeout": self.timeout,
             "dark_size": self.dark_size,
@@ -905,7 +835,7 @@ class DetectionEngine:
             # Read back with .get() so pre-journal v2 snapshots stay
             # loadable (they replay the whole journal, which dedups).
             "last_seq": self._last_seq,
-            "detectors": blobs,
+            "detectors": self._shard_blobs(),
         }
         return ENGINE_STATE_MAGIC + pickle.dumps(payload, protocol=4)
 

@@ -45,6 +45,11 @@ _MAGIC = "repro-packetlog-v1"
 MANIFEST_NAME = "MANIFEST.json"
 _MANIFEST_MAGIC = "repro-chunk-manifest-v1"
 
+#: The column dtypes an archive must carry: the PacketBatch schema.
+_SCHEMA_DTYPES = {
+    name: getattr(PacketBatch.empty(), name).dtype for name in COLUMNS
+}
+
 #: Values of ``on_corrupt``: fail fast, or skip-and-account.
 CORRUPT_MODES = ("raise", "quarantine")
 
@@ -103,7 +108,16 @@ def _parse_packets_npz(data: bytes, path: Path) -> PacketBatch:
                 raise ChunkCorruptionError(
                     f"not a repro packet log: {path} (magic={magic!r})"
                 )
-            return PacketBatch(**{name: archive[name] for name in COLUMNS})
+            columns = {name: archive[name] for name in COLUMNS}
+        # PacketBatch casts its columns, so a float or wider-int column
+        # would wrap silently (-1.0 -> 4294967295, port 70000 -> 4464).
+        for name, column in columns.items():
+            if column.dtype != _SCHEMA_DTYPES[name]:
+                raise ChunkCorruptionError(
+                    f"corrupt packet chunk {path}: column {name!r} has "
+                    f"dtype {column.dtype}, expected {_SCHEMA_DTYPES[name]}"
+                )
+        return PacketBatch(**columns)
     except ChunkCorruptionError:
         raise
     except Exception as exc:

@@ -47,11 +47,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engine import gate_time_order
+from repro.core.engine import fold_batches, gate_time_order
 from repro.core.streaming import StreamingDetector
 from repro.io.packetlog import packets_from_npz_bytes
 from repro.io.shm import resolve_batch
-from repro.packet import PacketBatch
 
 #: Upper bound the auto policy puts on the fold-worker count.
 AUTO_MAX_PROCESSES = 4
@@ -125,7 +124,6 @@ def _decode_payload(payload) -> Tuple[list, List[str]]:
 def _worker_main(conn) -> None:
     """One fold worker: serve pipe requests until ``close`` or EOF."""
     detectors: Dict[tuple, StreamingDetector] = {}
-    degraded: set = set()
     while True:
         try:
             message = conn.recv()
@@ -159,22 +157,9 @@ def _worker_main(conn) -> None:
                 batches, errors = _decode_payload(payload)
                 t0 = time.perf_counter()
                 kept = gate_time_order(batches, detector.watermark, errors)
-                packets = finalized = 0
-                if kept:
-                    coalesced = (
-                        kept[0]
-                        if len(kept) == 1
-                        else PacketBatch.concat(kept)
-                    )
-                    try:
-                        report = detector.add_batch(coalesced)
-                        packets = report.packets
-                        finalized = report.events_finalized
-                    except Exception as exc:  # noqa: BLE001 — surface it
-                        errors.append(str(exc))
-                if spec.max_ecdf_samples is not None:
-                    if detector.bound_volume_samples(spec.max_ecdf_samples):
-                        degraded.add(key)
+                packets, finalized, degraded = fold_batches(
+                    detector, kept, errors, spec.max_ecdf_samples
+                )
                 conn.send(
                     (
                         "ok",
@@ -188,7 +173,7 @@ def _worker_main(conn) -> None:
                             open_flows=detector.open_flows,
                             peak_open_flows=detector.peak_open_flows,
                             watermark=detector.watermark,
-                            degraded=key in degraded,
+                            degraded=degraded,
                         ),
                     )
                 )
@@ -202,7 +187,6 @@ def _worker_main(conn) -> None:
                 _, key, blob = message
                 if blob is None:
                     detectors.pop(key, None)
-                    degraded.discard(key)
                 else:
                     detectors[key] = StreamingDetector.from_bytes(blob)
                 conn.send(("ok", None))
@@ -210,7 +194,6 @@ def _worker_main(conn) -> None:
                 _, tenant = message
                 for key in [k for k in detectors if k[0] == tenant]:
                     del detectors[key]
-                    degraded.discard(key)
                 conn.send(("ok", None))
             elif op == "ping":
                 conn.send(("ok", None))

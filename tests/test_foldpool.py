@@ -16,12 +16,16 @@ import pytest
 from repro.config import DetectionConfig
 from repro.core.engine import DetectionEngine, gate_time_order
 from repro.core.faults import CheckpointStore
+from repro.core.telemetry import PipelineTelemetry
 from repro.io.packetlog import packets_to_npz_bytes
 from repro.packet import PacketBatch, Protocol
+from repro.parallel import shard_of
 from repro.serve.foldpool import FoldPool, FoldPoolError
 from repro.serve.tenants import Tenant, TenantConfig
+from tests.test_streaming import _assert_detections_identical
 
 TCP = Protocol.TCP_SYN.value
+RST = Protocol.TCP_RST.value
 
 _DARK_SIZE = 64
 _CONFIG = DetectionConfig(
@@ -146,19 +150,20 @@ class TestPooledParity:
             )
         pooled.detach_pool()
 
-    def test_attach_with_existing_state_then_finish(self, pool):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_attach_with_existing_state_then_finish(self, pool, workers):
         batch = _capture(8)
         chunks = _chunks(batch, 6)
 
-        reference = _engine(workers=2)
+        reference = _engine(workers=workers)
         for chunk in chunks:
             reference.ingest(chunk)
         expected_events, expected_det = reference.finish()
 
-        hybrid = _engine(workers=2)
+        hybrid = _engine(workers=workers)
         for chunk in chunks[:3]:
             hybrid.ingest(chunk)
-        hybrid.attach_pool(pool, "hybrid")
+        hybrid.attach_pool(pool, f"hybrid-{workers}")
         assert hybrid.pooled
         for chunk in chunks[3:]:
             hybrid.ingest(chunk)
@@ -218,6 +223,106 @@ class TestPooledParity:
         engine.abandon_pool()
         assert not engine.pooled
         assert pool.collect(("gone", 0)) is None
+
+
+def _source_in_shard(shard, n_shards=3):
+    """The smallest source address that hashes to ``shard``."""
+    candidates = np.arange(200, 400, dtype=np.uint32)
+    return int(candidates[shard_of(candidates, n_shards) == shard][0])
+
+
+def _packets(rows):
+    """A batch from ``(ts, src, proto)`` rows (dport 80, dst 1)."""
+    ts, src, proto = (np.array(column) for column in zip(*rows))
+    n = len(rows)
+    return PacketBatch(
+        ts=ts.astype(np.float64),
+        src=src.astype(np.uint32),
+        dst=np.ones(n, dtype=np.uint32),
+        dport=np.full(n, 80, dtype=np.uint16),
+        proto=proto.astype(np.uint8),
+        ipid=np.zeros(n, dtype=np.uint16),
+    )
+
+
+@pytest.fixture(scope="module")
+def single_pool():
+    with FoldPool(1) as p:
+        yield p
+
+
+class TestWholeChunkRefusal:
+    """``ingest()`` refuses a stale chunk whole, in every fold mode.
+
+    The head chunk ends with a packet from a shard-1 source, so shard 1
+    holds the engine watermark while shard 0's own watermark is older.
+    Each bad chunk has a packet that precedes the engine watermark plus
+    a later shard-0 packet that shard 0 alone would accept.
+    """
+
+    @pytest.fixture(params=["local-1", "local-3", "pool-1", "pool-3"])
+    def make_engine(self, request, single_pool):
+        mode, workers = request.param.split("-")
+
+        def make(key):
+            engine = _engine(
+                workers=int(workers), telemetry=PipelineTelemetry()
+            )
+            if mode == "pool":
+                engine.attach_pool(single_pool, f"{request.param}-{key}")
+            return engine
+
+        return make
+
+    @staticmethod
+    def _stream():
+        head = _capture(20, n=2_000, duration=50_000.0)
+        mark = float(head.ts.max()) + 1.0
+        head = PacketBatch.concat(
+            [head, _packets([(mark, _source_in_shard(1), TCP)])]
+        )
+        tail = _capture(21, n=2_000, duration=50_000.0)
+        tail.ts = tail.ts + mark + 10.0
+        return head, mark, tail
+
+    @staticmethod
+    def _gauges(engine):
+        return (
+            engine.packets_seen,
+            engine.chunks_ingested,
+            engine.events_finalized,
+            engine.open_flows,
+            engine.peak_open_flows,
+            engine.watermark,
+            engine.telemetry.chunks,
+        )
+
+    @pytest.mark.parametrize("early_proto", [TCP, RST], ids=["syn", "rst"])
+    def test_stale_chunk_refused_whole(self, make_engine, early_proto):
+        head, mark, tail = self._stream()
+        bad = _packets(
+            [
+                (mark - 0.5, _source_in_shard(1), early_proto),
+                (mark + 1.0, _source_in_shard(0), TCP),
+            ]
+        )
+        engine = make_engine("fed")
+        twin = make_engine("twin")
+        engine.ingest(head)
+        twin.ingest(head)
+        before = self._gauges(engine)
+
+        with pytest.raises(ValueError, match="out.of.order"):
+            engine.ingest(bad)
+        assert self._gauges(engine) == before == self._gauges(twin)
+
+        engine.ingest(tail)
+        twin.ingest(tail)
+        events, detections = engine.finish()
+        expected_events, expected = twin.finish()
+        assert len(events) == len(expected_events)
+        assert engine.telemetry.chunks == twin.telemetry.chunks == 2
+        _assert_detections_identical(detections, expected)
 
 
 class TestWorkerDeath:

@@ -201,6 +201,30 @@ class TestPacketNpzBytes:
         with pytest.raises(ChunkCorruptionError, match="magic"):
             packets_from_npz_bytes(buffer.getvalue())
 
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("src", np.array([-1.0, 5.0])),
+            ("dport", np.array([70_000, 23], dtype=np.int64)),
+        ],
+    )
+    def test_off_schema_dtype_rejected(self, column, values):
+        # PacketBatch would cast these silently: src -1.0 -> 4294967295,
+        # dport 70000 -> 4464.  The decoder refuses them instead.
+        import io as _io
+
+        batch = PacketBatch.concat([_one_packet(), _one_packet()])
+        columns = {name: getattr(batch, name) for name in COLUMNS}
+        columns[column] = values
+        buffer = _io.BytesIO()
+        np.savez(buffer, magic=np.array("repro-packetlog-v1"), **columns)
+        expected = getattr(PacketBatch.empty(), column).dtype
+        with pytest.raises(ChunkCorruptionError) as info:
+            packets_from_npz_bytes(buffer.getvalue())
+        message = str(info.value)
+        assert repr(column) in message
+        assert str(values.dtype) in message and str(expected) in message
+
 
 class TestCrashSafeChunkIO:
     """Atomic writes, digest manifests, and corruption handling."""

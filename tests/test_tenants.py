@@ -360,3 +360,25 @@ class TestRecycle:
             tenant.record_error(f"e{i}")
         assert len(tenant.errors) == 32
         assert tenant.errors[-1] == "e39"
+
+
+class TestWirePayloads:
+    def test_off_schema_payload_recorded_and_not_folded(self):
+        import io
+
+        registry = TenantRegistry()
+        tenant = registry.create("t", _config())
+        batch = _capture(6, n=2)
+        columns = {
+            name: getattr(batch, name)
+            for name in ("ts", "src", "dst", "dport", "proto", "ipid")
+        }
+        columns["src"] = np.array([-1.0, 5.0])
+        columns["dport"] = np.array([70_000, 23], dtype=np.int64)
+        buffer = io.BytesIO()
+        np.savez(buffer, magic=np.array("repro-packetlog-v1"), **columns)
+        report = tenant.ingest_payloads([buffer.getvalue()])
+        assert report.chunks == 0 and report.packets == 0
+        assert len(report.errors) == 1 and "dtype" in report.errors[0]
+        assert tenant.errors and "dtype" in tenant.errors[-1]
+        assert tenant.engine.packets_seen == 0
