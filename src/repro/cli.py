@@ -284,8 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "batch: events + detection over the whole capture at once; "
             "streaming: lazily generated chunked capture -> incremental "
-            "detection (same results; the capture is never materialized, "
-            "so memory stays bounded; telemetry in the summary)"
+            "detection (same results; detection never materializes the "
+            "capture, so memory stays bounded; the AH analyses regenerate "
+            "only the AH scanners' packets and Table 1 the whole capture; "
+            "telemetry in the summary)"
         ),
     )
     parser.add_argument(

@@ -18,6 +18,7 @@ from repro.core.detection import definition_overlap, jaccard
 from repro.labeling.greynoise import GreyNoiseDB, build_greynoise
 from repro.sim.runner import ScenarioResult, run_scenario
 from repro.sim.scenario import Scenario
+from repro.telescope.capture import DarknetCapture
 
 
 @dataclass
@@ -26,6 +27,10 @@ class StudyReport:
 
     result: ScenarioResult
     _gn_cache: Optional[GreyNoiseDB] = field(default=None, repr=False)
+    _ah_capture: Optional[DarknetCapture] = field(default=None, repr=False)
+    _acked_cache: Dict[int, validation.AckedMatchResult] = field(
+        default_factory=dict, repr=False
+    )
 
     # ------------------------------------------------------------------
     # Shared ingredients
@@ -51,13 +56,30 @@ class StudyReport:
             )
         return self._gn_cache
 
+    def ah_capture(self) -> DarknetCapture:
+        """The darknet packets of every definition's AH (cached).
+
+        Every packet-level table reads only AH traffic, so this is all
+        of the capture they need: a streaming run regenerates just the
+        AH scanners' packets (:meth:`ScenarioResult.capture_of`), never
+        the whole capture.
+        """
+        if self._ah_capture is None:
+            union: set = set()
+            for result in self.detections.values():
+                union |= result.sources
+            self._ah_capture = self.result.capture_of(union)
+        return self._ah_capture
+
     def acked_match(self, definition: int = 1) -> validation.AckedMatchResult:
-        """Acknowledged-scanner attribution for one definition."""
-        return validation.match_acknowledged(
-            self.detections[definition].sources,
-            self.result.population.acked,
-            self.result.capture,
-        )
+        """Acknowledged-scanner attribution for one definition (cached)."""
+        if definition not in self._acked_cache:
+            self._acked_cache[definition] = validation.match_acknowledged(
+                self.detections[definition].sources,
+                self.result.population.acked,
+                self.ah_capture(),
+            )
+        return self._acked_cache[definition]
 
     # ------------------------------------------------------------------
     # Table 1 — dataset description
@@ -84,7 +106,7 @@ class StudyReport:
         flows, _ = self.result.collect_flows()
         flow_day = max(self.result.scenario.flow_days)
         day_flows = flows.select(flows.day == flow_day)
-        batch = self.result.capture.day_slice(
+        batch = self.ah_capture().day_slice(
             flow_day, self.clock.seconds_per_day
         )
         out = {}
@@ -131,7 +153,7 @@ class StudyReport:
         return characterize.origins(
             self.detections[definition].sources,
             self.result.internet.registry,
-            self.result.capture,
+            self.ah_capture(),
             acked_sources=acked,
             top_n=top_n,
         )
@@ -191,7 +213,7 @@ class StudyReport:
     def top_ports(self, definition: int = 1, top_n: int = 25) -> list:
         """Figure 4: top targeted services with tool fingerprints."""
         return characterize.top_ports(
-            self.result.capture,
+            self.ah_capture(),
             self.detections[definition].sources,
             top_n=top_n,
         )
@@ -199,7 +221,7 @@ class StudyReport:
     def zipf_contribution(self, definition: int = 1) -> np.ndarray:
         """Figure 6 (right): cumulative AH traffic by ranked source."""
         return characterize.zipf_contribution(
-            self.result.capture, self.detections[definition].sources
+            self.ah_capture(), self.detections[definition].sources
         )
 
     def port_consistency(self, definition: int = 1) -> list:
@@ -207,7 +229,7 @@ class StudyReport:
         flows, _ = self.result.collect_flows()
         flow_day = max(self.result.scenario.flow_days)
         day_flows = flows.select(flows.day == flow_day)
-        batch = self.result.capture.day_slice(
+        batch = self.ah_capture().day_slice(
             flow_day, self.clock.seconds_per_day
         )
         daily = self.detections[definition].active_on(flow_day)
@@ -229,7 +251,7 @@ class StudyReport:
         return lists.build_daily_blocklist(
             day,
             self.detections,
-            self.result.capture,
+            self.ah_capture(),
             self.clock.seconds_per_day,
             registry=self.result.internet.registry,
             acked_sources=acked,

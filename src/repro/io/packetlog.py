@@ -50,6 +50,14 @@ _SCHEMA_DTYPES = {
     name: getattr(PacketBatch.empty(), name).dtype for name in COLUMNS
 }
 
+#: Largest total decompressed size an archive may declare.  A packet
+#: is 21 bytes across the six columns; the largest archive the repo
+#: writes is a whole preset capture saved with :func:`save_packets_npz`
+#: (~22M packets, ~460 MB), and chunk files and wire chunks are far
+#: smaller.  1 GiB leaves twice that headroom while bounding what a
+#: small, highly compressible archive can make a reader allocate.
+MAX_DECOMPRESSED_BYTES = 1 << 30
+
 #: Values of ``on_corrupt``: fail fast, or skip-and-account.
 CORRUPT_MODES = ("raise", "quarantine")
 
@@ -103,14 +111,23 @@ def save_packets_npz(batch: PacketBatch, path: Union[str, Path]) -> str:
 def _parse_packets_npz(data: bytes, path: Path) -> PacketBatch:
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            # zipfile never yields more than a member's declared size,
+            # so capping the declared total bounds the allocation.
+            declared = sum(info.file_size for info in archive.zip.infolist())
+            if declared > MAX_DECOMPRESSED_BYTES:
+                raise ChunkCorruptionError(
+                    f"corrupt packet chunk {path}: archive declares "
+                    f"{declared} decompressed bytes, over the "
+                    f"{MAX_DECOMPRESSED_BYTES}-byte cap"
+                )
             magic = str(archive["magic"])
             if magic != _MAGIC:
                 raise ChunkCorruptionError(
                     f"not a repro packet log: {path} (magic={magic!r})"
                 )
             columns = {name: archive[name] for name in COLUMNS}
-        # PacketBatch casts its columns, so a float or wider-int column
-        # would wrap silently (-1.0 -> 4294967295, port 70000 -> 4464).
+        # A chunk from outside must carry the schema dtypes exactly,
+        # not merely values PacketBatch could cast without loss.
         for name, column in columns.items():
             if column.dtype != _SCHEMA_DTYPES[name]:
                 raise ChunkCorruptionError(

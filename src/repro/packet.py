@@ -64,6 +64,39 @@ _PROTO_LABELS = {
 COLUMNS = ("ts", "src", "dst", "dport", "proto", "ipid")
 
 
+#: The dtype of every :data:`COLUMNS` entry, in column order.
+_SCHEMA = (
+    ("ts", np.dtype(np.float64)),
+    ("src", np.dtype(np.uint32)),
+    ("dst", np.dtype(np.uint32)),
+    ("dport", np.dtype(np.uint16)),
+    ("proto", np.dtype(np.uint8)),
+    ("ipid", np.dtype(np.uint16)),
+)
+
+
+def _to_schema(name: str, values, dtype: np.dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array, refusing any lossy cast.
+
+    A column already at ``dtype`` passes unchecked.  Otherwise every
+    value must survive the round trip: a NaN, a fraction, a negative
+    or an out-of-range value would wrap silently (``-1.0`` becomes
+    ``4294967295`` as a uint32, port 70000 becomes 4464).
+    """
+    column = np.asarray(values)
+    if column.dtype == dtype:
+        return column
+    with np.errstate(invalid="ignore", over="ignore"):
+        cast = column.astype(dtype)
+        lossless = np.array_equal(cast, column, equal_nan=True)
+    if not lossless:
+        raise ValueError(
+            f"PacketBatch column {name!r}: {column.dtype} values do not "
+            f"fit {dtype} (non-finite, fractional, negative or too large)"
+        )
+    return cast
+
+
 @dataclass
 class PacketBatch:
     """A column-oriented batch of packets.
@@ -89,12 +122,8 @@ class PacketBatch:
         arrays = (self.src, self.dst, self.dport, self.proto, self.ipid)
         if any(len(a) != n for a in arrays):
             raise ValueError("PacketBatch columns must share one length")
-        self.ts = np.asarray(self.ts, dtype=np.float64)
-        self.src = np.asarray(self.src, dtype=np.uint32)
-        self.dst = np.asarray(self.dst, dtype=np.uint32)
-        self.dport = np.asarray(self.dport, dtype=np.uint16)
-        self.proto = np.asarray(self.proto, dtype=np.uint8)
-        self.ipid = np.asarray(self.ipid, dtype=np.uint16)
+        for name, dtype in _SCHEMA:
+            setattr(self, name, _to_schema(name, getattr(self, name), dtype))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -102,14 +131,7 @@ class PacketBatch:
     @classmethod
     def empty(cls) -> "PacketBatch":
         """A batch with zero packets."""
-        return cls(
-            ts=np.empty(0, dtype=np.float64),
-            src=np.empty(0, dtype=np.uint32),
-            dst=np.empty(0, dtype=np.uint32),
-            dport=np.empty(0, dtype=np.uint16),
-            proto=np.empty(0, dtype=np.uint8),
-            ipid=np.empty(0, dtype=np.uint16),
-        )
+        return cls(**{name: np.empty(0, dtype) for name, dtype in _SCHEMA})
 
     @classmethod
     def concat(cls, batches: Sequence["PacketBatch"]) -> "PacketBatch":

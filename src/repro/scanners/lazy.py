@@ -278,6 +278,19 @@ class _ScannerCursor:
             state[1], state[2] = span_idx, batch
         self._alive = still_alive
 
+    def release(self) -> None:
+        """Drop the generation state once the sweep has passed ``end``.
+
+        Freeing it here, as the cursor finishes, keeps finished
+        scanners' plans out of memory for the rest of the run and off
+        the emitter's teardown; the span counters stay for telemetry.
+        """
+        self._state = {}
+        self._words = {}
+        self._alive = []
+        self._single = ()
+        self._single_batch = None
+
 
 class _FallbackCursor:
     """Cursor for duck-typed scanners without :class:`ScanSession` lists.
@@ -329,6 +342,10 @@ class _FallbackCursor:
                 (part.ts, part.src, part.dst,
                  part.dport, part.proto, part.ipid)
             )
+
+    def release(self) -> None:
+        """Drop the emitted batch once the sweep has passed ``end``."""
+        self._batch = PacketBatch.empty()
 
 
 class PopulationEmitter:
@@ -455,7 +472,7 @@ class PopulationEmitter:
                 if cursor.end <= t1:
                     finished.append(position)
             for position in finished:
-                del active[position]
+                active.pop(position).release()
             if not parts:
                 batch = PacketBatch.empty()
             elif len(parts) == 1:

@@ -23,6 +23,7 @@ from repro.flows.isp import ISPNetwork, build_campus_like, build_merit_like
 from repro.flows.netflow import NetflowExporter
 from repro.flows.stream import StreamMonitor
 from repro.net.internet import Internet, build_internet
+from repro.scanners.base import Scanner
 from repro.scanners.population import ScannerPopulation, build_population
 from repro.sim.scenario import Scenario
 from repro.telescope.capture import DarknetCapture
@@ -63,19 +64,45 @@ class ScenarioResult:
     # ------------------------------------------------------------------
     @property
     def capture(self) -> DarknetCapture:
-        """The darknet capture, materialized on first access.
+        """The whole darknet capture, materialized on first access.
 
-        Streaming and parallel runs generate the capture lazily and
-        never hold it whole; the packet-level analyses (Table 1, the
-        characterization figures...) still can ask for the full batch
-        here, which rebuilds it deterministically — bit-identical to
-        what the pipeline consumed — and caches it on the result.
+        Streaming and parallel runs detect without ever holding the
+        capture whole.  Whole-capture analyses (Table 1) ask for it
+        here, which regenerates every scanner's packets — bit-identical
+        to what the pipeline consumed — and caches them on the result.
+        Analyses of a few sources use :meth:`capture_of` instead.
         """
         if self._capture is None:
             self._capture = self.telescope.capture(
                 self.population.scanners, self.scenario.window()
             )
         return self._capture
+
+    def capture_of(self, sources) -> DarknetCapture:
+        """The packets the given source addresses sent to the telescope.
+
+        Bit-identical to ``capture.select_sources(sources)``, columns
+        and order, but without the whole capture when it is not cached:
+        only the :class:`~repro.scanners.base.Scanner` objects whose
+        ``src`` is wanted are regenerated, plus every other emitter
+        (forged-source scans can stamp any address).  A ``Scanner``'s
+        packets come only from its own seeded streams and carry its own
+        ``src``, and the capture's time sort is stable over population
+        order, so the subset capture holds the wanted rows in the same
+        order.  Nothing is cached here.
+        """
+        wanted = {int(a) for a in sources}
+        capture = self._capture
+        if capture is None:
+            subset = [
+                s
+                for s in self.population.scanners
+                if not isinstance(s, Scanner) or int(s.src) in wanted
+            ]
+            capture = self.telescope.capture(subset, self.scenario.window())
+        return DarknetCapture(
+            packets=capture.select_sources(wanted), telescope=self.telescope
+        )
 
     @property
     def clock(self):

@@ -226,6 +226,56 @@ class TestPacketNpzBytes:
         assert str(values.dtype) in message and str(expected) in message
 
 
+class TestDecompressionCap:
+    """A small archive may not declare a huge decompressed size."""
+
+    CAP = 1 << 20
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        from repro.io import packetlog
+
+        monkeypatch.setattr(packetlog, "MAX_DECOMPRESSED_BYTES", self.CAP)
+
+    @pytest.fixture()
+    def bomb(self):
+        # ~4 MiB of zeros, a few KiB compressed: over a 1 MiB cap.
+        import io as _io
+
+        n = 200_000
+        empty = PacketBatch.empty()
+        columns = {
+            name: np.zeros(n, dtype=getattr(empty, name).dtype)
+            for name in COLUMNS
+        }
+        buffer = _io.BytesIO()
+        np.savez_compressed(
+            buffer, magic=np.array("repro-packetlog-v1"), **columns
+        )
+        data = buffer.getvalue()
+        assert len(data) < self.CAP // 16
+        return data
+
+    def test_wire_chunk_refused(self, bomb):
+        with pytest.raises(ChunkCorruptionError, match="decompressed"):
+            packets_from_npz_bytes(bomb, label="tenant-9")
+
+    def test_chunk_file_refused(self, bomb, tmp_path):
+        directory = tmp_path / "cap"
+        directory.mkdir()
+        path = directory / "chunk-00000.npz"
+        path.write_bytes(bomb)
+        with pytest.raises(ChunkCorruptionError, match="chunk-00000.npz"):
+            load_packets_npz(path)
+        with pytest.raises(ChunkCorruptionError, match="decompressed"):
+            list(iter_packets_chunked(directory))
+
+    def test_archive_under_cap_still_reads(self):
+        batch = _one_packet()
+        restored = packets_from_npz_bytes(packets_to_npz_bytes(batch))
+        assert np.array_equal(restored.ts, batch.ts)
+
+
 class TestCrashSafeChunkIO:
     """Atomic writes, digest manifests, and corruption handling."""
 

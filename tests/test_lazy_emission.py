@@ -245,6 +245,22 @@ def test_span_counters_split_derived_from_emitted():
     assert source.spans_derived >= sessions
 
 
+def test_finished_cursors_release_their_generation_state():
+    # Every scanner here ends inside the window, so after draining no
+    # cursor may still hold span plans, RNG words or an emitted batch.
+    emitter = PopulationEmitter(
+        _population(), _view(), 3_600.0, window=(0.0, _SPAN * 1.2)
+    )
+    assert sum(len(batch) for _, _, batch in emitter) > 0
+    for _, cursor in emitter._pending:
+        if hasattr(cursor, "_state"):
+            assert cursor._state == {} and cursor._words == {}
+            assert cursor._single_batch is None
+        else:
+            assert len(cursor._batch) == 0
+    assert emitter.spans_derived >= emitter.spans_emitted > 0
+
+
 def test_emitter_rejects_bad_chunk_seconds():
     with pytest.raises(ValueError, match="chunk_seconds"):
         PopulationEmitter(_population(), _view(), 0.0)

@@ -48,6 +48,49 @@ class TestConstruction:
         assert batch.src.dtype == np.uint32
         assert batch.dport.dtype == np.uint16
 
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("src", np.array([-1.0, 5.0])),
+            ("dport", np.array([70_000, 23], dtype=np.int64)),
+            ("dst", np.array([np.nan, 3.0])),
+            ("dport", np.array([80.5, 23.0])),
+            ("proto", np.array([-6, 17], dtype=np.int64)),
+        ],
+    )
+    def test_lossy_cast_rejected(self, column, values):
+        # A cast would wrap these silently: src -1.0 -> 4294967295,
+        # dport 70000 -> 4464.
+        columns = {
+            name: getattr(make_batch(2), name)
+            for name in ("ts", "src", "dst", "dport", "proto", "ipid")
+        }
+        columns[column] = values
+        with pytest.raises(ValueError, match=repr(column)):
+            PacketBatch(**columns)
+
+    def test_lossless_cast_accepted(self):
+        batch = PacketBatch(
+            ts=np.array([1, 2], dtype=np.int64),
+            src=np.array([4294967295.0, 0.0]),
+            dst=np.array([3, 4], dtype=np.int64),
+            dport=np.array([65535, 0], dtype=np.int32),
+            proto=np.array([6, 17], dtype=np.int16),
+            ipid=np.array([0, 1], dtype=np.uint8),
+        )
+        assert batch.src.tolist() == [4294967295, 0]
+        assert batch.dport.dtype == np.uint16
+        assert batch.ts.dtype == np.float64
+
+    def test_nan_survives_a_float_widening(self):
+        columns = {
+            name: getattr(make_batch(2), name)
+            for name in ("ts", "src", "dst", "dport", "proto", "ipid")
+        }
+        columns["ts"] = np.array([np.nan, 1.0], dtype=np.float32)
+        batch = PacketBatch(**columns)
+        assert np.isnan(batch.ts[0]) and batch.ts.dtype == np.float64
+
 
 class TestConcatSelect:
     def test_concat_preserves_total(self):
