@@ -25,6 +25,9 @@ asserts under ``--benchmark-disable``.
 
 import json
 import os
+import platform
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -48,12 +51,50 @@ MEMORY_DAYS = 2
 _BENCH_JSON = RESULTS_DIR / "BENCH_emit.json"
 
 
+def _git(*args: str):
+    """Output of a git command in the repository, or ``None``."""
+    try:
+        out = subprocess.run(
+            ["git", *args],
+            cwd=RESULTS_DIR.parent.parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _provenance() -> dict:
+    """Where the numbers come from: a measured run, its host, the code
+    revision (``dirty`` when tracked files differ from ``commit``) and
+    the command."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "measured": True,
+        "host": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "system": platform.system(),
+        },
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+        "command": ["python", "-m", "pytest", *sys.argv[1:]],
+        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+
+
 def _merge_bench_json(section: str, payload: dict) -> None:
-    """Fold one test's numbers into the shared BENCH_emit.json."""
+    """Fold one test's numbers, and the run's provenance, into the
+    shared BENCH_emit.json."""
     data = {}
     if _BENCH_JSON.exists():
         data = json.loads(_BENCH_JSON.read_text())
     data[section] = payload
+    data["provenance"] = _provenance()
     _BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 

@@ -203,6 +203,37 @@ def _sample_addrs_with_replacement(
     return _offsets_to_addrs(ranges, offsets)
 
 
+def span_grid(
+    session: ScanSession, hit_space: int, target_space: int
+) -> list:
+    """A session's [start, end) generation spans into one view.
+
+    ``hit_space``/``target_space`` are the address counts of the
+    session's target space inside the view and overall.  Non-RATE
+    sessions are one span; RATE sessions are split so each span expects
+    roughly :data:`RATE_SPAN_TARGET_PACKETS` in-view packets.  Span
+    indices key the RNG streams, so this grid is part of the emission
+    contract shared by :meth:`Scanner.emit` and the lazy emitter.
+    """
+    if session.mode is not ScanMode.RATE:
+        return [(session.start, session.end)]
+    expected = (
+        session.rate_pps * session.duration * hit_space / target_space
+    )
+    n_spans = max(1, int(math.ceil(expected / RATE_SPAN_TARGET_PACKETS)))
+    if n_spans == 1:
+        return [(session.start, session.end)]
+    sub = session.duration / n_spans
+    spans = [
+        (session.start + j * sub, session.start + (j + 1) * sub)
+        for j in range(n_spans)
+    ]
+    # Pin the last edge to the exact session end (float summation
+    # may land a hair off; slicing contracts depend on exact edges).
+    spans[-1] = (spans[-1][0], session.end)
+    return spans
+
+
 @dataclass
 class Scanner:
     """One scanning source IP and its activity schedule.
@@ -278,19 +309,6 @@ class Scanner:
         """
         return self.emit(view, window=(t0, t1)).sorted_by_time()
 
-    def session_spans(self) -> np.ndarray:
-        """Per-session [start, end) spans as an ``(n, 2)`` float array.
-
-        The population-level interval index is built from these, so a
-        windowed emission only touches scanners with overlapping
-        sessions.
-        """
-        if not self.sessions:
-            return np.empty((0, 2), dtype=np.float64)
-        return np.array(
-            [[s.start, s.end] for s in self.sessions], dtype=np.float64
-        )
-
     # ------------------------------------------------------------------
     def _session_plan(
         self, session: ScanSession, view_ranges: np.ndarray
@@ -312,23 +330,10 @@ class Scanner:
         if hit_space == 0:
             return inter, 0, 0, []
         target_space = session.target_space_size()
-        if session.mode is not ScanMode.RATE:
-            return inter, hit_space, target_space, [(session.start, session.end)]
-        expected = (
-            session.rate_pps * session.duration * hit_space / target_space
+        return (
+            inter, hit_space, target_space,
+            span_grid(session, hit_space, target_space),
         )
-        n_spans = max(1, int(math.ceil(expected / RATE_SPAN_TARGET_PACKETS)))
-        if n_spans == 1:
-            return inter, hit_space, target_space, [(session.start, session.end)]
-        sub = session.duration / n_spans
-        spans = [
-            (session.start + j * sub, session.start + (j + 1) * sub)
-            for j in range(n_spans)
-        ]
-        # Pin the last edge to the exact session end (float summation
-        # may land a hair off; slicing contracts depend on exact edges).
-        spans[-1] = (spans[-1][0], session.end)
-        return inter, hit_space, target_space, spans
 
     def span_rngs(self, view_key: int, pairs: Sequence[tuple]) -> list:
         """Derive many span RNG streams in one vectorized pass.
@@ -434,9 +439,17 @@ class Scanner:
         ipid = self._fingerprint(session.tool, dst, dport, rng)
         src = np.full(count, self.src, dtype=np.uint32)
         proto = np.full(count, session.proto.value, dtype=np.uint8)
-        return PacketBatch(
+        batch = PacketBatch(
             ts=ts, src=src, dst=dst, dport=dport, proto=proto, ipid=ipid
         )
+        # A span is [s0, s1): with s0 > 0 the draw can round up to
+        # exactly s1.  Drop such rows here, after every draw, so the
+        # stream stays intact and every window, including one that does
+        # not cut the span, applies the same clip as the lazy emitter.
+        inside = ts < s1
+        if not inside.all():
+            batch = batch.select(inside)
+        return batch
 
     def _coverage_hits(self, session, inter, hit_space, time_fraction, rng):
         p_hit = min(session.coverage * time_fraction, 1.0)

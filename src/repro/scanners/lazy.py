@@ -4,30 +4,39 @@
 population sends into a view, concatenates, and time-sorts — an
 O(total capture) memory wall at the head of every run.  This module
 replaces it for the streaming pipeline: :class:`PopulationEmitter`
-walks an epoch-aligned chunk grid and, per window, generates only the
+sweeps an epoch-aligned chunk grid and, per window, generates only the
 packets landing inside it.
 
-Three properties make this both cheap and exact:
+The sweep works on generation spans, batched per window:
 
-* **Interval index** — cursors are sorted by first activity and admitted
-  to the active set only while a session overlaps the current window, so
-  a window's cost scales with concurrent scanners, not population size.
-* **Span caching** — each session is generated in the deterministic
-  spans of :meth:`Scanner._session_plan`; a span is generated once when
-  the sweep first reaches it, sliced forward window by window, and freed
-  as soon as the sweep passes its end.  Peak memory is O(active spans),
-  never O(capture).
+* **Admission** — scanners are sorted by first activity and admitted
+  when the sweep reaches their start.  Admission plans every live
+  session (the view's full-IPv4 intersection is computed once per
+  emitter, since most sessions target all of IPv4), lays out its spans
+  (:func:`~repro.scanners.base.span_grid`) and derives the RNG streams
+  of every span the window's newly admitted scanners will ever need in
+  one vectorized pass (:mod:`repro.scanners.streams`).  The spans are
+  then scheduled by start time.
+* **Block generation** — each window generates every scheduled span
+  whose start it has reached as one *block*.  Per span, Python makes
+  only the RNG draws, in :meth:`Scanner._generate_span`'s exact order
+  (packet count, target offsets, port indices, timestamp fractions,
+  random IP-IDs); everything else — timestamps, offset-to-address
+  mapping, ports, fingerprints, the span and window clip — is a few
+  numpy passes over the whole block.
+* **Window output** — a block is sorted once by (timestamp, span
+  order), so each window's share of it is a contiguous slice.  A
+  window merges its live blocks' slices with one lexsort on the same
+  key.  Served prefixes are compacted away and a block is dropped with
+  its last row, so peak memory is O(open spans), never O(capture).
 * **Bit-identity** — span RNG streams are keyed by (scanner, view,
   session, span), so the concatenation of all window batches equals
   ``emit_population(scanners, view, window).sorted_by_time()`` exactly:
-  same addresses, ports, timestamps, and fingerprints.  Spans stay in
-  generation order, window slices are boolean masks that preserve it,
-  and the only sort in the chain is the stable per-window one — which
-  therefore breaks equal-timestamp ties in generation (= population)
-  order, exactly as the materialized path's single global stable sort
-  does.  Seed derivation is itself batched: each window derives the
-  streams of every span its newly admitted cursors will ever need in
-  one vectorized pass (:mod:`repro.scanners.streams`).
+  same addresses, ports, timestamps, and fingerprints.  Span order is
+  (population position, session, span) and rows of one span keep their
+  generation order, so equal-timestamp ties break exactly as the
+  materialized path's single global stable sort over generation (=
+  population) order does.
 
 Scanner-like objects without sessions (e.g.
 :class:`repro.scanners.background.SpoofedScan`) are handled by a
@@ -39,257 +48,280 @@ result.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
-
+import heapq
 import math
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.packet import PacketBatch
-from repro.scanners.base import View, view_rng_key
+from repro.fingerprint import ZMAP_IPID, Tool, masscan_ipid
+from repro.net.prefix import intersect_ranges, ranges_size, sample_distinct_offsets
+from repro.packet import PacketBatch, Protocol
+from repro.scanners.base import (
+    ScanMode,
+    View,
+    _offsets_to_addrs,
+    full_ipv4_ranges,
+    span_grid,
+    view_rng_key,
+)
 from repro.scanners.streams import derive_span_words, generator_from_words
 
+#: A span's order key packs its scanner's population position above an
+#: ordinal that grows session-major through the scanner's spans, so one
+#: int64 compare reproduces (position, session, span) order.
+_ORDINAL_BITS = 32
 
-class _ScannerCursor:
-    """Forward-only window reader over one scanner's sessions."""
 
-    __slots__ = (
-        "scanner",
-        "start",
-        "end",
-        "_view_ranges",
-        "_view_key",
-        "_state",
-        "_words",
-        "_pairs",
-        "_alive",
-        "_single",
-        "_single_batch",
-        "spans_derived",
-        "spans_emitted",
-    )
+def _span_draws(
+    session, hit_space: int, target_space: int, s0: float, s1: float, rng
+) -> Optional[tuple]:
+    """One span's random draws, in :meth:`Scanner._generate_span`'s order.
 
-    def __init__(self, scanner, view_ranges: np.ndarray, view_key: int):
-        self.scanner = scanner
-        self.start = min(s.start for s in scanner.sessions)
-        self.end = max(s.end for s in scanner.sessions)
-        self._view_ranges = view_ranges
-        self._view_key = view_key
-        #: session index -> [plan, span_idx, cached span batch | None]
-        self._state: dict = {}
-        #: (session, span) -> pre-derived ``generate_state`` words;
-        #: ``None`` until the cursor is primed.
-        self._words: dict = None
-        #: session indices not yet swept past, ascending.
-        self._alive: list = None
-        #: fast-path plan for the dominant one-session/one-span shape:
-        #: ``(index, session, s0, s1, inter, hit_space, target_space)``.
-        self._single = None
-        self._single_batch = None
-        #: RNG streams derived for this cursor (pre-dedup unit).
-        self.spans_derived = 0
-        #: spans that actually produced packets.
-        self.spans_emitted = 0
-
-    def prime_keys(self, t0: float) -> list:
-        """Plan every session and key all upcoming span streams.
-
-        Runs once, when the sweep admits the cursor: the session plans
-        (target intersections, span grids) are computed eagerly and
-        every span ending after ``t0`` contributes one RNG key row.
-        The caller derives the rows — batched across *all* cursors the
-        window admits (:func:`derive_span_words` pays off per batch,
-        and most scanners only have a handful of spans each) — and
-        hands the words back through :meth:`accept_words`.
-        """
-        pairs = []
-        rows = []
-        seed, view_key = self.scanner.seed, self._view_key
-        for index, session in enumerate(self.scanner.sessions):
-            if session.end <= t0:
-                continue
-            plan = self.scanner._session_plan(session, self._view_ranges)
-            self._state[index] = [plan, 0, None]
-            if plan[1] == 0:
-                continue
-            for span_idx, (_, s1) in enumerate(plan[3]):
-                if s1 > t0:
-                    pairs.append((index, span_idx))
-                    rows.append((seed, view_key, index, span_idx))
-        self._alive = sorted(self._state)
-        self._pairs = pairs
-        self.spans_derived = len(pairs)
-        if len(self._state) == 1:
-            # Nearly every scanner is one live session with one span —
-            # pin the plan so `take` can skip the generic session/span
-            # loops entirely.
-            (index,) = self._state
-            inter, hit_space, target_space, spans = self._state[index][0]
-            if hit_space == 0 or not spans:
-                self._single = ()
-            elif len(spans) == 1:
-                s0, s1 = spans[0]
-                self._single = (
-                    index, self.scanner.sessions[index],
-                    s0, s1, inter, hit_space, target_space,
-                )
-        return rows
-
-    def accept_words(self, words: np.ndarray) -> None:
-        """Store bulk-derived RNG words for the keys of ``prime_keys``."""
-        self._words = dict(zip(self._pairs, words))
-        del self._pairs
-
-    def _span_rng(self, index: int, span_idx: int):
-        words = self._words.pop((index, span_idx), None)
-        if words is None:
-            # A span the priming pass didn't key (already swept past at
-            # admission, or a cursor driven without priming) — derive
-            # the identical stream the scalar way.
+    Returns ``(offsets, dport, fractions, ipid)``, or ``None`` when the
+    span draws no packet.  ``offsets`` index the session's target ∩
+    view ranges, one per packet (probe repeats included); ``dport`` is
+    one port (``int``) or a per-packet uint16 array; ``fractions`` are
+    the uniform timestamp draws; ``ipid`` holds the random IP-IDs, or
+    ``None`` for ZMap/Masscan, whose IDs are computed, not drawn.
+    """
+    ports = session.ports
+    probes = session.probes_per_target
+    if session.mode is ScanMode.RATE:
+        lam = session.rate_pps * (s1 - s0) * hit_space / target_space
+        k = int(rng.poisson(lam))
+        if k == 0:
             return None
-        return generator_from_words(words)
+        offsets = rng.integers(0, hit_space, size=k, dtype=np.int64)
+        if len(ports) == 1:
+            dport = int(ports[0])
+        else:
+            dport = ports[
+                rng.choice(len(ports), size=k, p=session.port_weights)
+            ]
+    elif session.mode is ScanMode.COVERAGE:
+        p_hit = min(session.coverage, 1.0)
+        parts = []
+        hit_ports = []
+        for port in ports:
+            k = int(rng.binomial(hit_space, p_hit))
+            if k == 0:
+                continue
+            parts.append(sample_distinct_offsets(rng, hit_space, k))
+            hit_ports.append(port)
+        if not parts:
+            return None
+        if len(parts) == 1:
+            offsets, dport = parts[0], int(hit_ports[0])
+        else:
+            offsets = np.concatenate(parts)
+            dport = np.repeat(
+                np.array(hit_ports, dtype=np.uint16),
+                [len(part) * probes for part in parts],
+            )
+        if probes > 1:
+            offsets = np.repeat(offsets, probes)
+    else:
+        p_view = hit_space / target_space
+        n_effective = session.n_targets
+        if n_effective >= 1:
+            k = int(rng.binomial(int(round(n_effective)), p_view))
+        else:
+            k = int(rng.random() < n_effective * p_view)
+        k = min(k, hit_space)
+        if k == 0:
+            return None
+        offsets = np.repeat(
+            sample_distinct_offsets(rng, hit_space, k), len(ports) * probes
+        )
+        dport = np.tile(np.repeat(ports, probes), k)
+    count = len(offsets)
+    fractions = rng.random(count)
+    ipid = None
+    if session.tool is not Tool.ZMAP and session.tool is not Tool.MASSCAN:
+        ipid = rng.integers(0, 65536, size=count, dtype=np.uint16)
+    return offsets, dport, fractions, ipid
 
-    def _sorted_span(self, gen, cut_by_window: bool) -> tuple:
-        """Generation output as a column tuple, span-sorted if sliced.
 
-        A window edge cutting the span means it will be served as
-        slices: stable-sort it once at generation (ties keep generation
-        order) and every slice is then a free view.  Spans fully inside
-        a window skip the sort and are handed over in generation order
-        — either way the per-window stable sort downstream sees ties in
-        generation order, exactly as the materialized path's single
-        global stable sort over generation order does.
-        """
-        if len(gen):
-            self.spans_emitted += 1
-        if not cut_by_window:
-            return gen.ts, gen.src, gen.dst, gen.dport, gen.proto, gen.ipid
-        order = np.argsort(gen.ts, kind="stable")
+def _time_order(ts: np.ndarray, exact) -> np.ndarray:
+    """Indices sorting ``ts``; ``exact()`` decides equal timestamps.
+
+    The unstable sort is several times faster than a stable one on
+    unsorted data, and with no two timestamps equal every sort agrees;
+    only when a tie exists does the order come from ``exact()``.
+    """
+    order = np.argsort(ts)
+    ordered = ts[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        return exact()
+    return order
+
+
+class _Block:
+    """One window's generated spans, sorted by (timestamp, span order).
+
+    ``span`` is each row's index into ``keys`` (the spans' order keys)
+    in the narrowest unsigned dtype that fits; ``pos`` is the first row
+    the sweep has not served yet.
+    """
+
+    __slots__ = ("columns", "span", "keys", "pos")
+
+    def __init__(self, columns: tuple, span: np.ndarray, keys: np.ndarray):
+        self.columns = columns
+        self.span = span
+        self.keys = keys
+        self.pos = 0
+
+    def take(self, t1: float) -> Optional[tuple]:
+        """The unserved rows with ``ts < t1`` as a window part:
+        ``(columns, span, keys)``."""
+        i0 = self.pos
+        i1 = int(self.columns[0].searchsorted(t1, side="left"))
+        if i1 <= i0:
+            return None
+        self.pos = i1
+        cut = slice(i0, i1)
         return (
-            gen.ts[order], gen.src[order], gen.dst[order],
-            gen.dport[order], gen.proto[order], gen.ipid[order],
+            tuple(column[cut] for column in self.columns),
+            self.span[cut],
+            self.keys,
         )
 
-    def take(self, t0: float, t1: float, parts: list) -> None:
-        """Append column tuples with ``t0 <= ts < t1`` onto ``parts``.
+    def compact(self) -> bool:
+        """Drop the served prefix once it outweighs the rest.
 
-        Parts are raw ``(ts, src, dst, dport, proto, ipid)`` array
-        tuples in (session, span) order — the emitter builds one
-        :class:`PacketBatch` per window from all cursors' parts, so no
-        per-slice batch objects are constructed or validated on the hot
-        path.
-
-        Must be called with non-decreasing windows; spans the sweep has
-        passed are freed and cannot be revisited.
+        Returns ``False`` when nothing is left to serve.  Copying only
+        once the prefix is the larger part keeps the copying amortized
+        O(1) per row.
         """
-        if self._words is None:
-            self.accept_words(derive_span_words(self.prime_keys(t0)))
-        single = self._single
-        if single is not None:
-            if not single:
-                return
-            index, session, s0, s1, inter, hit_space, target_space = single
-            if s0 >= t1 or s1 <= t0:
-                return
-            batch = self._single_batch
-            sliced = s0 < t0 or s1 > t1
-            if batch is None:
-                batch = self._sorted_span(
-                    self.scanner._generate_span(
-                        session, index, 0, s0, s1,
-                        inter, hit_space, target_space, self._view_key,
-                        rng=self._span_rng(index, 0),
-                    ),
-                    sliced,
-                )
-            ts = batch[0]
-            if sliced:
-                # Sorted by construction: a span revisited across
-                # windows was cut at generation (s1 > t1 then, s0 < t0
-                # now), so `_sorted_span` already ordered it.
-                i0, i1 = ts.searchsorted(
-                    [max(s0, t0), min(s1, t1)], side="left"
-                )
-                if i0 < i1:
-                    cut = slice(int(i0), int(i1))
-                    parts.append((
-                        ts[cut], batch[1][cut], batch[2][cut],
-                        batch[3][cut], batch[4][cut], batch[5][cut],
-                    ))
-            elif len(ts):
-                parts.append(batch)
-            if s1 <= t1:
-                self._single = ()
-                self._single_batch = None
-            else:
-                self._single_batch = batch
-            return
-        still_alive = []
-        sessions = self.scanner.sessions
-        for index in self._alive:
-            session = sessions[index]
-            if session.end <= t0:
-                self._state.pop(index, None)
-                continue
-            still_alive.append(index)
-            if session.start >= t1:
-                continue
-            state = self._state[index]
-            inter, hit_space, target_space, spans = state[0]
-            if hit_space == 0:
-                continue
-            span_idx, batch = state[1], state[2]
-            while span_idx < len(spans):
-                s0, s1 = spans[span_idx]
-                if s1 <= t0:
-                    span_idx += 1
-                    batch = None
-                    continue
-                if s0 >= t1:
-                    break
-                sliced = s0 < t0 or s1 > t1
-                if batch is None:
-                    batch = self._sorted_span(
-                        self.scanner._generate_span(
-                            session, index, span_idx, s0, s1,
-                            inter, hit_space, target_space, self._view_key,
-                            rng=self._span_rng(index, span_idx),
-                        ),
-                        sliced,
-                    )
-                ts = batch[0]
-                if sliced:
-                    i0, i1 = ts.searchsorted(
-                        [max(s0, t0), min(s1, t1)], side="left"
-                    )
-                    if i0 < i1:
-                        cut = slice(int(i0), int(i1))
-                        parts.append((
-                            ts[cut], batch[1][cut], batch[2][cut],
-                            batch[3][cut], batch[4][cut], batch[5][cut],
-                        ))
-                elif len(ts):
-                    parts.append(batch)
-                if s1 <= t1:
-                    span_idx += 1
-                    batch = None
-                else:
-                    break
-            state[1], state[2] = span_idx, batch
-        self._alive = still_alive
+        left = len(self.span) - self.pos
+        if left == 0:
+            return False
+        if self.pos > left:
+            cut = slice(self.pos, None)
+            self.columns = tuple(column[cut].copy() for column in self.columns)
+            self.span = self.span[cut].copy()
+            self.pos = 0
+        return True
 
-    def release(self) -> None:
-        """Drop the generation state once the sweep has passed ``end``.
 
-        Freeing it here, as the cursor finishes, keeps finished
-        scanners' plans out of memory for the rest of the run and off
-        the emitter's teardown; the span counters stay for telemetry.
-        """
-        self._state = {}
-        self._words = {}
-        self._alive = []
-        self._single = ()
-        self._single_batch = None
+def _assemble_block(
+    spans: Sequence[tuple], draws: Sequence[tuple], lo: float, hi: float
+) -> Optional[_Block]:
+    """Build a block from spans (in span order) and their draws.
+
+    ``spans`` are scheduled-span tuples ``(s0, key, s1, session, plan,
+    src, words)`` and ``draws`` the matching non-empty
+    :func:`_span_draws` results.  Rows keep ``ts`` in ``[s0, s1)`` of
+    their span — a draw that rounds up to ``s1`` is dropped, as
+    :meth:`Scanner._generate_span` drops it — and in the sweep's
+    ``[lo, hi)``.
+    """
+    n_spans = len(spans)
+    counts = np.fromiter(
+        (len(d[2]) for d in draws), dtype=np.int64, count=n_spans
+    )
+    s0 = np.fromiter((sp[0] for sp in spans), dtype=np.float64, count=n_spans)
+    s1 = np.fromiter((sp[2] for sp in spans), dtype=np.float64, count=n_spans)
+    ts = np.repeat(s0, counts) + np.concatenate(
+        [d[2] for d in draws]
+    ) * np.repeat(s1 - s0, counts)
+
+    # Offsets index each span's own target ∩ view ranges; shifting them
+    # into one concatenated range table maps the whole block at once.
+    offsets = np.concatenate([d[0] for d in draws])
+    bases = {}
+    tables = []
+    total = 0
+    for sp in spans:
+        inter, hit_space = sp[4][0], sp[4][1]
+        if id(inter) not in bases:
+            bases[id(inter)] = total
+            tables.append(inter)
+            total += hit_space
+    if len(tables) > 1:
+        offsets = offsets + np.repeat(
+            np.fromiter(
+                (bases[id(sp[4][0])] for sp in spans),
+                dtype=np.int64, count=n_spans,
+            ),
+            counts,
+        )
+    dst = _offsets_to_addrs(
+        tables[0] if len(tables) == 1 else np.concatenate(tables), offsets
+    )
+
+    dport = np.repeat(
+        np.fromiter(
+            (d[1] if isinstance(d[1], int) else 0 for d in draws),
+            dtype=np.uint16, count=n_spans,
+        ),
+        counts,
+    )
+    drawn = [not isinstance(d[1], int) for d in draws]
+    if any(drawn):
+        dport[np.repeat(drawn, counts)] = np.concatenate(
+            [d[1] for d, arr in zip(draws, drawn) if arr]
+        )
+    icmp = [sp[3].proto is Protocol.ICMP_ECHO for sp in spans]
+    if any(icmp):
+        dport[np.repeat(icmp, counts)] = 0
+
+    random_ids = [d[3] is not None for d in draws]
+    if all(random_ids):
+        ipid = np.concatenate([d[3] for d in draws])
+    else:
+        tools = [sp[3].tool for sp in spans]
+        ipid = np.repeat(
+            np.array(
+                [ZMAP_IPID if tool is Tool.ZMAP else 0 for tool in tools],
+                dtype=np.uint16,
+            ),
+            counts,
+        )
+        if any(random_ids):
+            ipid[np.repeat(random_ids, counts)] = np.concatenate(
+                [d[3] for d in draws if d[3] is not None]
+            )
+        masscan = [tool is Tool.MASSCAN for tool in tools]
+        if any(masscan):
+            rows = np.repeat(masscan, counts)
+            ipid[rows] = masscan_ipid(dst[rows], dport[rows])
+
+    src = np.repeat(
+        np.fromiter((sp[5] for sp in spans), dtype=np.uint32, count=n_spans),
+        counts,
+    )
+    proto = np.repeat(
+        np.fromiter(
+            (sp[3].proto.value for sp in spans), dtype=np.uint8, count=n_spans
+        ),
+        counts,
+    )
+    span = np.repeat(
+        np.arange(n_spans, dtype=np.min_scalar_type(max(n_spans - 1, 0))),
+        counts,
+    )
+
+    # Rows are in span order, so a stable sort by time alone orders
+    # them by (ts, span order, generation order).
+    order = _time_order(ts, lambda: np.argsort(ts, kind="stable"))
+    keep = ts < np.repeat(np.minimum(s1, hi), counts)
+    if s0.min() < lo:
+        keep &= ts >= lo
+    if not keep.all():
+        order = order[keep[order]]
+        if len(order) == 0:
+            return None
+    keys = np.fromiter((sp[1] for sp in spans), dtype=np.int64, count=n_spans)
+    return _Block(
+        (ts[order], src[order], dst[order], dport[order], proto[order],
+         ipid[order]),
+        span[order],
+        keys,
+    )
 
 
 class _FallbackCursor:
@@ -379,50 +411,121 @@ class PopulationEmitter:
         self.view = view
         self.chunk_seconds = float(chunk_seconds)
         self.window = window
-        view_ranges = view.ranges()
-        view_key = view_rng_key(view)
-        cursors = []
+        self._view_ranges = view.ranges()
+        self._view_key = view_rng_key(view)
+        entries = []
         for position, scanner in enumerate(scanners):
-            if getattr(scanner, "sessions", None):
-                cursor = _ScannerCursor(scanner, view_ranges, view_key)
+            sessions = getattr(scanner, "sessions", None)
+            if sessions:
+                item = scanner
+                start = min(s.start for s in sessions)
+                end = max(s.end for s in sessions)
             else:
-                cursor = _FallbackCursor(scanner, view, window)
-            if window is not None:
-                if cursor.start >= window[1] or cursor.end <= window[0]:
-                    continue
-            cursors.append((position, cursor))
-        #: cursors sorted by first activity; admitted by the sweep.
-        self._pending = sorted(
-            cursors, key=lambda item: (item[1].start, item[0])
-        )
-
-    @property
-    def spans_derived(self) -> int:
-        """RNG span streams keyed so far (pre-dedup derivation units).
-
-        Grows as the sweep admits cursors; read after iteration for the
-        population total.  Always >= :attr:`spans_emitted` — a derived
-        span whose generation lands entirely outside the view (or
-        produces zero packets) is derived work without emitted packets.
-        """
-        return sum(cursor.spans_derived for _, cursor in self._pending)
-
-    @property
-    def spans_emitted(self) -> int:
-        """Derived spans that actually produced packets."""
-        return sum(cursor.spans_emitted for _, cursor in self._pending)
+                item = _FallbackCursor(scanner, view, window)
+                start, end = item.start, item.end
+            if window is not None and (start >= window[1] or end <= window[0]):
+                continue
+            entries.append((start, position, end, item))
+        #: (start, position, end, scanner | fallback cursor) sorted by
+        #: first activity; admitted by the sweep.
+        self._pending = sorted(entries, key=lambda e: (e[0], e[1]))
+        #: the view's plan for sessions targeting all of IPv4.
+        self._full_plan = None
+        #: heap of admitted spans not yet generated:
+        #: ``(s0, key, s1, session, plan, src, rng words)``.
+        self._scheduled: list = []
+        #: generated blocks with rows still to serve.
+        self._blocks: list = []
+        #: fallback cursors the sweep has admitted and not yet finished.
+        self._fallbacks: list = []
+        #: RNG span streams keyed so far (pre-dedup derivation units);
+        #: grows as the sweep admits scanners.  Always >= spans_emitted
+        #: — a derived span whose generation lands entirely outside the
+        #: view (or produces zero packets) is derived work without
+        #: emitted packets.
+        self.spans_derived = 0
+        #: derived spans that actually produced packets.
+        self.spans_emitted = 0
 
     def span(self) -> Optional[tuple]:
         """Overall [start, end) the emitter will cover, or ``None``."""
         if not self._pending:
             return None
-        lo = self._pending[0][1].start
-        hi = max(cursor.end for _, cursor in self._pending)
+        lo = self._pending[0][0]
+        hi = max(entry[2] for entry in self._pending)
         if self.window is not None:
             lo, hi = max(lo, self.window[0]), min(hi, self.window[1])
         if lo >= hi:
             return None
         return lo, hi
+
+    def _plan(self, session) -> tuple:
+        """``(inter, hit_space, target_space)`` of a session in the view."""
+        if session.target_ranges is None:
+            if self._full_plan is None:
+                inter = intersect_ranges(full_ipv4_ranges(), self._view_ranges)
+                self._full_plan = (
+                    inter, ranges_size(inter), session.target_space_size(),
+                )
+            return self._full_plan
+        inter = intersect_ranges(session.target_ranges, self._view_ranges)
+        return inter, ranges_size(inter), session.target_space_size()
+
+    def _admit(self, scanners: Sequence[tuple], t0: float) -> None:
+        """Schedule every span ending after ``t0`` of newly admitted
+        ``(position, scanner)`` pairs, deriving all their RNG streams in
+        one vectorized pass."""
+        spans = []
+        rows = []
+        view_key = self._view_key
+        for position, scanner in scanners:
+            base = position << _ORDINAL_BITS
+            seed, src = scanner.seed, scanner.src
+            for index, session in enumerate(scanner.sessions):
+                if session.end <= t0:
+                    continue
+                plan = self._plan(session)
+                if plan[1] == 0:
+                    continue
+                for span_idx, (s0, s1) in enumerate(
+                    span_grid(session, plan[1], plan[2])
+                ):
+                    if s1 > t0:
+                        spans.append(
+                            (s0, base | len(spans), s1, session, plan, src)
+                        )
+                        rows.append((seed, view_key, index, span_idx))
+        words = derive_span_words(rows)
+        self.spans_derived += len(rows)
+        scheduled = self._scheduled
+        for span, span_words in zip(spans, words):
+            heapq.heappush(scheduled, span + (span_words,))
+
+    def _generate(self, t1: float, lo: float, hi: float) -> None:
+        """Generate every scheduled span starting before ``t1`` as one
+        block."""
+        scheduled = self._scheduled
+        due = []
+        while scheduled and scheduled[0][0] < t1:
+            due.append(heapq.heappop(scheduled))
+        if not due:
+            return
+        due.sort(key=itemgetter(1))
+        spans = []
+        draws = []
+        for span in due:
+            s0, _, s1, session, plan, _, words = span
+            drawn = _span_draws(
+                session, plan[1], plan[2], s0, s1, generator_from_words(words)
+            )
+            if drawn is not None:
+                spans.append(span)
+                draws.append(drawn)
+        self.spans_emitted += len(spans)
+        if spans:
+            block = _assemble_block(spans, draws, lo, hi)
+            if block is not None:
+                self._blocks.append(block)
 
     def __iter__(self) -> Iterator[tuple]:
         covered = self.span()
@@ -431,60 +534,76 @@ class PopulationEmitter:
         lo, hi = covered
         cs = self.chunk_seconds
         first_edge = math.floor(lo / cs) * cs
-        pending = list(self._pending)
+        pending = self._pending
         next_pending = 0
-        active: dict = {}
         i = 0
-        while True:
-            w0 = first_edge + i * cs
-            if w0 >= hi:
-                break
-            w1 = w0 + cs
-            t0, t1 = max(w0, lo), min(w1, hi)
-            admitted = []
-            while (
-                next_pending < len(pending)
-                and pending[next_pending][1].start < t1
-            ):
-                position, cursor = pending[next_pending]
-                active[position] = cursor
-                if isinstance(cursor, _ScannerCursor):
-                    admitted.append(cursor)
-                next_pending += 1
-            if admitted:
-                # One vectorized seed derivation across every cursor
-                # this window admits — most scanners have only a few
-                # spans, so per-cursor batches would be too small to
-                # amortize anything.
-                rows = []
-                bounds = [0]
-                for cursor in admitted:
-                    rows.extend(cursor.prime_keys(t0))
-                    bounds.append(len(rows))
-                words = derive_span_words(rows)
-                for cursor, b0, b1 in zip(admitted, bounds, bounds[1:]):
-                    cursor.accept_words(words[b0:b1])
-            parts = []
-            finished = []
-            for position in sorted(active):
-                cursor = active[position]
-                cursor.take(t0, t1, parts)
+        try:
+            while True:
+                w0 = first_edge + i * cs
+                if w0 >= hi:
+                    break
+                w1 = w0 + cs
+                t0, t1 = max(w0, lo), min(w1, hi)
+                admitted = []
+                while (
+                    next_pending < len(pending)
+                    and pending[next_pending][0] < t1
+                ):
+                    _, position, _, item = pending[next_pending]
+                    if isinstance(item, _FallbackCursor):
+                        self._fallbacks.append((position, item))
+                    else:
+                        admitted.append((position, item))
+                    next_pending += 1
+                if admitted:
+                    self._admit(admitted, t0)
+                self._generate(t1, lo, hi)
+                yield w0, w1, self._window_batch(t0, t1)
+                i += 1
+        finally:
+            self._scheduled = []
+            self._blocks = []
+            for _, cursor in self._fallbacks:
+                cursor.release()
+            self._fallbacks = []
+
+    def _window_batch(self, t0: float, t1: float) -> PacketBatch:
+        """Serve ``[t0, t1)`` from the live blocks and fallback cursors."""
+        parts = []
+        for block in self._blocks:
+            part = block.take(t1)
+            if part is not None:
+                parts.append(part)
+        self._blocks = [block for block in self._blocks if block.compact()]
+        if self._fallbacks:
+            live = []
+            for position, cursor in self._fallbacks:
+                first = cursor._batch is None
+                taken = []
+                cursor.take(t0, t1, taken)
+                if first:
+                    self.spans_derived += cursor.spans_derived
+                    self.spans_emitted += cursor.spans_emitted
+                if taken:
+                    parts.append((
+                        taken[0],
+                        np.zeros(len(taken[0][0]), dtype=np.uint8),
+                        np.array([position << _ORDINAL_BITS], dtype=np.int64),
+                    ))
                 if cursor.end <= t1:
-                    finished.append(position)
-            for position in finished:
-                active.pop(position).release()
-            if not parts:
-                batch = PacketBatch.empty()
-            elif len(parts) == 1:
-                batch = PacketBatch(*parts[0])
-            else:
-                batch = PacketBatch(
-                    *(
-                        np.concatenate([p[col] for p in parts])
-                        for col in range(6)
-                    )
-                )
-            yield w0, w1, batch.sorted_by_time()
-            if not active and next_pending >= len(pending):
-                break
-            i += 1
+                    cursor.release()
+                else:
+                    live.append((position, cursor))
+            self._fallbacks = live
+        if not parts:
+            return PacketBatch.empty()
+        if len(parts) == 1:
+            return PacketBatch(*(column.copy() for column in parts[0][0]))
+        ts = np.concatenate([part[0][0] for part in parts])
+        order = _time_order(ts, lambda: np.lexsort((
+            np.concatenate([keys[span] for _, span, keys in parts]), ts,
+        )))
+        return PacketBatch(ts[order], *(
+            np.concatenate([part[0][col] for part in parts])[order]
+            for col in range(1, 6)
+        ))

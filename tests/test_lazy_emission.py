@@ -24,7 +24,12 @@ from repro.scanners.base import (
     View,
     emit_population,
 )
-from repro.scanners.lazy import PopulationEmitter
+from repro.scanners.lazy import (
+    PopulationEmitter,
+    _assemble_block,
+    _FallbackCursor,
+    _span_draws,
+)
 from repro.telescope.chunks import ChunkedCaptureSource, LazyCaptureSource
 
 _COLUMNS = ("ts", "src", "dst", "dport", "proto", "ipid")
@@ -246,24 +251,237 @@ def test_span_counters_split_derived_from_emitted():
 
 
 def test_finished_cursors_release_their_generation_state():
-    # Every scanner here ends inside the window, so after draining no
-    # cursor may still hold span plans, RNG words or an emitted batch.
+    # Every scanner here ends inside the window.  While sweeping, the
+    # emitter may keep only what a later window still needs: scheduled
+    # spans (each carrying its session plan and RNG words) start at or
+    # after the window's end, every live block still has rows to serve,
+    # and every live fallback cursor ends after the window.  After
+    # draining it holds no block, no scheduled span (so no plan and no
+    # RNG words) and no fallback emission.
     emitter = PopulationEmitter(
         _population(), _view(), 3_600.0, window=(0.0, _SPAN * 1.2)
     )
-    assert sum(len(batch) for _, _, batch in emitter) > 0
-    for _, cursor in emitter._pending:
-        if hasattr(cursor, "_state"):
-            assert cursor._state == {} and cursor._words == {}
-            assert cursor._single_batch is None
-        else:
-            assert len(cursor._batch) == 0
+    total = 0
+    for _, w1, batch in emitter:
+        total += len(batch)
+        assert all(span[0] >= w1 for span in emitter._scheduled)
+        assert all(block.pos < len(block.span) for block in emitter._blocks)
+        assert all(cursor.end > w1 for _, cursor in emitter._fallbacks)
+    assert total > 0
+    assert emitter._scheduled == []
+    assert emitter._blocks == []
+    assert emitter._fallbacks == []
+    fallbacks = [
+        item for *_, item in emitter._pending
+        if isinstance(item, _FallbackCursor)
+    ]
+    assert fallbacks
+    assert all(len(cursor._batch) == 0 for cursor in fallbacks)
     assert emitter.spans_derived >= emitter.spans_emitted > 0
 
 
 def test_emitter_rejects_bad_chunk_seconds():
     with pytest.raises(ValueError, match="chunk_seconds"):
         PopulationEmitter(_population(), _view(), 0.0)
+
+
+# ----------------------------------------------------------------------
+# Equal-timestamp ties and span/window edges: every emitter window is
+# exactly the materialized capture's slice, ties broken in population
+# order.
+# ----------------------------------------------------------------------
+
+_HOUR = 3_600.0
+
+
+class _Mirror:
+    """A session-less emitter replaying another scanner's packets under
+    its own source, so its rows tie exactly with that scanner's."""
+
+    def __init__(self, scanner: Scanner, src: int):
+        self.scanner = scanner
+        self.src = src
+        self.start = scanner.first_activity()
+        self.duration = scanner.last_activity() - self.start
+
+    def emit(self, view, window=None):
+        batch = self.scanner.emit(view, window)
+        return PacketBatch(
+            batch.ts, np.full(len(batch), self.src, dtype=np.uint32),
+            batch.dst, batch.dport, batch.proto, batch.ipid,
+        )
+
+
+_TIE_ORDER = {0x0B00000F: 0, 0x0B0000AA: 1, 0x0B0000BB: 3}
+
+
+def _tie_population():
+    """Three-way exact ties; the rest covers edges and session shapes.
+
+    The twins share a seed and sessions 1-2 (so those streams, and their
+    timestamps, are identical) but sit at positions 1 and 3 with
+    different sources, and the later twin starts — and is admitted —
+    first: a tie-break by admission instead of population order shows.
+    The mirror at position 0 replays the first twin through the
+    fallback path, so its rows tie with a generated block's rows in
+    every window's merge.  Session 2 is a four-span RATE session whose
+    span edges fall exactly on hour edges.
+    """
+    shared = [
+        _session(ScanMode.COVERAGE, 2.5 * _HOUR, 2_000.0),
+        ScanSession(
+            start=4 * _HOUR,
+            duration=4 * _HOUR,
+            ports=np.array([23]),
+            proto=Protocol.TCP_SYN,
+            tool=Tool.OTHER,
+            mode=ScanMode.RATE,
+            rate_pps=2.2e6,
+        ),
+    ]
+    twin_a = Scanner(
+        src=0x0B0000AA,
+        behavior="twin",
+        sessions=[_session(ScanMode.RATE, 1.2 * _HOUR, 600.0), *shared],
+        seed=11,
+    )
+    twin_b = Scanner(
+        src=0x0B0000BB,
+        behavior="twin",
+        sessions=[_session(ScanMode.RATE, 0.2 * _HOUR, 600.0), *shared],
+        seed=11,
+    )
+    multi = Scanner(
+        src=0x0C000003,
+        behavior="multi",
+        sessions=[
+            ScanSession(
+                start=1_000.0,
+                duration=9 * _HOUR,
+                ports=np.array([80, 8080, 443]),
+                proto=Protocol.TCP_SYN,
+                tool=Tool.OTHER,
+                mode=ScanMode.RATE,
+                rate_pps=2e5,
+                port_weights=np.array([3.0, 1.0, 1.0]),
+            ),
+            ScanSession(
+                start=3 * _HOUR,
+                duration=2 * _HOUR,
+                ports=np.array([0]),
+                proto=Protocol.ICMP_ECHO,
+                tool=Tool.MASSCAN,
+                mode=ScanMode.COVERAGE,
+                coverage=0.4,
+                probes_per_target=2,
+                # Half of it lies outside the view: a second target table.
+                target_ranges=np.array(
+                    [[0x0A000800, 0x0A001800]], dtype=np.int64
+                ),
+            ),
+            _session(ScanMode.VERTICAL, 6 * _HOUR, 5_000.0),
+        ],
+        seed=23,
+    )
+    spoofed = SpoofedScan(
+        start=1.5 * _HOUR,
+        duration=3 * _HOUR,
+        coverage=0.5,
+        dport=445,
+        spoof_ranges=np.array([[0x10000000, 0x20000000]], dtype=np.int64),
+        seed=31,
+    )
+    return [_Mirror(twin_a, 0x0B00000F), twin_a, multi, twin_b, spoofed]
+
+
+def test_tie_population_really_ties_across_scanners():
+    capture = emit_population(_tie_population(), _view())
+    ts = capture.ts
+    tied = np.flatnonzero(ts[1:] == ts[:-1])
+    assert len(tied) > 100
+    # ... between mirror and twins only, in population order.
+    order = np.array([_TIE_ORDER[int(src)] for src in capture.src[tied]])
+    after = np.array(
+        [_TIE_ORDER[int(src)] for src in capture.src[tied + 1]]
+    )
+    assert np.all(order < after)
+    assert set(order) == {0, 1}
+
+
+@given(
+    st.sampled_from([900.0, 1_800.0, 3_600.0, 7_200.0]),
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.floats(min_value=0.0, max_value=6 * _HOUR),
+            st.floats(min_value=_HOUR, max_value=12 * _HOUR),
+        ),
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_emitter_windows_equal_chunked_emit_population(chunk_seconds, clip):
+    scanners = _tie_population()
+    view = _view()
+    window = None if clip is None else (clip[0], clip[0] + clip[1])
+    materialized = emit_population(scanners, view, window)
+    served = 0
+    previous_end = None
+    for w0, w1, batch in PopulationEmitter(
+        scanners, view, chunk_seconds, window=window
+    ):
+        assert w0 % chunk_seconds == 0
+        assert previous_end is None or w0 == previous_end
+        previous_end = w1
+        _assert_batches_identical(batch, materialized.time_slice(w0, w1))
+        served += len(batch)
+    assert served == len(materialized) > 0
+
+
+class _RoundUpRng:
+    """Stub generator: a RATE span of two packets whose timestamp
+    fractions are 0.25 and the largest double below 1."""
+
+    def poisson(self, lam):
+        return 2
+
+    def integers(self, low, high, size, dtype):
+        return np.arange(size, dtype=dtype)
+
+    def random(self, size):
+        return np.array([0.25, 1 - 2**-53])[:size]
+
+
+def test_span_draw_rounding_up_to_the_span_end_is_dropped():
+    s0, s1 = 500_000.0, 503_600.0
+    assert s0 + (1 - 2**-53) * (s1 - s0) == s1
+    session = ScanSession(
+        start=s0,
+        duration=s1 - s0,
+        ports=np.array([23]),
+        proto=Protocol.TCP_SYN,
+        tool=Tool.OTHER,
+        mode=ScanMode.RATE,
+        rate_pps=1.0,
+    )
+    scanner = Scanner(src=0x0B000001, behavior="test", sessions=[session])
+    inter, hit_space, target_space, spans = scanner._session_plan(
+        session, _view().ranges()
+    )
+    assert spans == [(s0, s1)]
+    batch = scanner._generate_span(
+        session, 0, 0, s0, s1, inter, hit_space, target_space, 0,
+        rng=_RoundUpRng(),
+    )
+    assert batch.ts.tolist() == [s0 + 0.25 * (s1 - s0)]
+    draws = _span_draws(
+        session, hit_space, target_space, s0, s1, _RoundUpRng()
+    )
+    span = (s0, 0, s1, session, (inter, hit_space, target_space),
+            scanner.src, None)
+    block = _assemble_block([span], [draws], 0.0, 2 * s1)
+    assert block is not None
+    for name, column in zip(_COLUMNS, block.columns):
+        assert np.array_equal(column, getattr(batch, name)), name
 
 
 # ----------------------------------------------------------------------
